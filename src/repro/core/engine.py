@@ -311,7 +311,9 @@ QueryOutcome` objects are returned instead.
         obs = self._session.obs
         if tracer is None:
             tracer = obs.query_tracer(sql_text)
-        with tracer.span("query"):
+        # The statement's write-back window: one commit when it closes,
+        # on success, error, timeout and cancellation alike.
+        with tracer.span("query"), self._session.storage.window():
             result = self._run_statement(
                 sql, sql_text, meter, cancel, tracer,
                 use_result_cache, analyze_sink,
@@ -537,10 +539,11 @@ QueryOutcome` objects are returned instead.
         return self._session.describe_transport()
 
     def close(self) -> None:
-        """Release serving resources (the continuous-batching pool).
+        """Release the continuous-batching pool and flush storage.
 
-        Idempotent.  Only needed when ``enable_continuous_batching`` is
-        on — a closed pool rejects further raw model calls.
+        Idempotent.  A closed pool rejects further raw model calls;
+        the storage tier stays readable (``usage``, ``storage_stats``,
+        ``storage.bytes_used``).
         """
         self._session.close()
 

@@ -76,28 +76,18 @@ class EngineSession:
         # Online statistics catalog: always recording (``.stats`` shows
         # what was observed either way); the optimizer only *consults*
         # it under ``enable_adaptive``.  Persistence piggybacks on the
-        # sqlite storage file as its own logical store — and only when
-        # adaptive is on, so a static session neither reads nor writes
-        # stats rows and stays byte/cost-identical to before.
+        # sqlite storage file as its own logical store, on the tier's
+        # connection so that its flush joins the statement's commit —
+        # and only when adaptive is on, so a static session neither
+        # reads nor writes stats rows and stays byte/cost-identical.
         stats_backend = None
         if (
             self.config.enable_adaptive
             and self.config.storage_backend == "sqlite"
-            and self.config.storage_path
         ):
-            from repro.storage.persistent import (
-                SqliteBackend,
-                StorageBackendError,
-            )
-
-            try:
-                stats_backend = SqliteBackend(
-                    self.config.storage_path,
-                    self.config.storage_budget_bytes,
-                    store="stats",
-                )
-            except StorageBackendError:
-                stats_backend = None  # memory-only catalog; never an error
+            # None on a tier that fell back to memory at open: the
+            # catalog is then memory-only, never an error.
+            stats_backend = self.storage.open_store("stats")
         self.stats_catalog = StatisticsCatalog(stats_backend)
 
     def query_meter(self, forward_wall: bool = True) -> UsageMeter:
@@ -135,9 +125,16 @@ class EngineSession:
         return text
 
     def close(self) -> None:
-        """Release serving resources (the continuous batcher's task)."""
+        """Release the continuous batcher and flush storage.
+
+        The statistics catalog's last delta and anything still pending
+        on the storage file go out in one commit.  The store stays open:
+        usage and storage counters are read after ``close()``.
+        """
         if self.batcher is not None:
             self.batcher.close()
+        with self.storage.window():
+            self.stats_catalog.flush()
 
     def usage(self) -> UsageSnapshot:
         """Cumulative usage, with the storage tier's counters folded in."""

@@ -25,8 +25,10 @@ generation-stamped scope namespace, so statistics survive cache
 invalidation (``clear()`` drops cached answers, not what was learned
 about the data).  Cross-process merge is delta-based: a flush reads
 the persisted blob, folds in only the observations recorded since the
-previous flush, and writes the merged blob back — two processes
-flushing interleaved never double-count an observation.
+previous flush, and writes the merged blob back, read and write inside
+one transaction of the backend (``StoreBackend.update``) — two
+processes flushing interleaved never double-count an observation and
+never lose one.
 """
 
 from __future__ import annotations
@@ -205,14 +207,20 @@ class StatisticsCatalog:
             return
         if not self._delta_dirty():
             return
-        persisted = self._backend.peek(self._key)
-        if not (
-            isinstance(persisted, dict)
-            and persisted.get("v") == _PAYLOAD_VERSION
-        ):
-            persisted = _empty_payload()
-        _merge_payload(persisted, self._delta)
-        self._backend.put(self._key, persisted)
+        delta = self._delta
+
+        def fold(persisted):
+            if not (
+                isinstance(persisted, dict)
+                and persisted.get("v") == _PAYLOAD_VERSION
+            ):
+                persisted = _empty_payload()
+            return _merge_payload(persisted, delta)
+
+        # The backend's atomic read-merge-write: the blob read and the
+        # blob written are the same transaction's, so another process
+        # flushing in between loses nothing (and neither do we).
+        persisted = self._backend.update(self._key, fold)
         self._delta = _empty_payload()
         # The persisted blob may contain other processes' observations
         # we have not seen; refresh the merged view from it.

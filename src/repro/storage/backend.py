@@ -25,7 +25,15 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Hashable,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from repro.config import SCOPE_LEVELS, parse_storage_scope
 
@@ -45,7 +53,13 @@ class StoreBackend(Protocol):
     strictly read-only (an expired entry reports a miss without being
     deleted or counted); ``put`` admits under a byte budget with LRU
     eviction, an optional explicit size, and an optional per-entry TTL
-    override; ``remove``/``clear`` drop entries without stat mutation.
+    override; ``update`` is an atomic read-merge-write (``merge`` maps
+    the live payload, or None, to the payload to store, or to None to
+    leave the entry alone); ``remove``/``clear`` drop entries without
+    stat mutation.  ``window()`` is a context manager inside which a
+    backend may defer write-back, provided reads see the deferred
+    writes; on close everything deferred is written.  An access outside
+    any window is a window of one.
     ``stats`` counters are process-local and reset with the session —
     a persistent backend's *entries* outlive the process, its counters
     do not.
@@ -65,6 +79,16 @@ class StoreBackend(Protocol):
         size: Optional[int] = None,
         ttl_s: Optional[float] = None,
     ) -> None: ...
+
+    def update(
+        self,
+        key: Hashable,
+        merge: Callable[[Optional[Any]], Optional[Any]],
+        size_of: Callable[[Any], int] = ...,
+        ttl_s: Optional[float] = None,
+    ) -> Optional[Any]: ...
+
+    def window(self) -> ContextManager[None]: ...
 
     def remove(self, key: Hashable) -> None: ...
 
@@ -127,8 +151,9 @@ def build_backends(
 ) -> Tuple[StoreBackend, StoreBackend, Optional[str]]:
     """A ``(fragments, results)`` backend pair, plus a fallback note.
 
-    ``sqlite`` backends share one WAL-mode file (two logical stores);
-    a file that cannot be opened — corrupt, locked, unwritable — does
+    ``sqlite`` backends share one WAL-mode file and one connection to
+    it (two logical stores, one transaction per write-back window); a
+    file that cannot be opened — corrupt, locked, unwritable — does
     not fail the engine: the pair degrades to in-memory stores and the
     reason is returned as the third element for surfacing in
     ``.storage`` output.
@@ -145,10 +170,7 @@ def build_backends(
             fragments = SqliteBackend(
                 path, budget_bytes, ttl_s, clock=clock, store="fragments"
             )
-            results = SqliteBackend(
-                path, budget_bytes, ttl_s, clock=clock, store="results"
-            )
-            return fragments, results, None
+            return fragments, fragments.sibling("results"), None
         except StorageBackendError as exc:
             note = f"sqlite backend unavailable ({exc}); using memory"
     clock = clock or time.monotonic

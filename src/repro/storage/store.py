@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Tuple
 
@@ -51,6 +52,10 @@ def approx_bytes(value: Any) -> int:
     if isinstance(value, (list, tuple, set, frozenset)):
         return 56 + sum(approx_bytes(item) for item in value)
     return 64
+
+
+#: Reusable and reentrant: ``nullcontext`` keeps no state.
+_NO_WINDOW = nullcontext()
 
 
 @dataclass
@@ -211,6 +216,32 @@ class LRUByteStore:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes_used -= evicted.size
                 self.stats.evictions += 1
+
+    def update(
+        self,
+        key: Hashable,
+        merge: Callable[[Optional[Any]], Optional[Any]],
+        size_of: Callable[[Any], int] = approx_bytes,
+        ttl_s: Optional[float] = None,
+    ) -> Optional[Any]:
+        """Atomic read-merge-write; returns what ``key`` now holds.
+
+        ``merge(existing)`` gets the live payload as :meth:`peek` sees
+        it (None when there is none) and returns the payload to store,
+        or None to leave the entry alone.
+        """
+        with self._lock:
+            existing = self.peek(key)
+            merged = merge(existing)
+            if merged is None:
+                return existing
+            self.put(key, merged, size_of(merged), ttl_s=ttl_s)
+            return merged
+
+    def window(self):
+        """Write-back window; a no-op here, where a write is a dict
+        store.  See :meth:`repro.storage.persistent.SqliteBackend.window`."""
+        return _NO_WINDOW
 
     def remove(self, key: Hashable) -> None:
         with self._lock:

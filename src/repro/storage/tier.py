@@ -215,9 +215,6 @@ class StorageTier:
         scope_ttls = dict(scope_ttl_s or ())
         self._entry_ttl: Optional[float] = scope_ttls.get(self.scope.level)
         self._lock = threading.Lock()
-        # Serializes read-modify-write mutations (peek → merge → put):
-        # concurrent plan-wave steps must not lose each other's writes.
-        self._write_lock = threading.Lock()
         self._result_hits = 0
         self._result_misses = 0
         self._fragment_hits = 0
@@ -247,6 +244,34 @@ class StorageTier:
         )
 
     # ------------------------------------------------------------------
+    # Write-back window
+    # ------------------------------------------------------------------
+
+    def window(self):
+        """Context manager: one statement's write-back window.
+
+        On a persistent backend everything the statement writes back —
+        fragments, lookup cells, its result, the recency bumps of its
+        hits, the statistics catalog's delta — is buffered (reads see
+        it) and committed in one transaction when the window closes,
+        also when the statement fails: what completed before the
+        failure is kept, as it would have been written through.  The
+        engine opens one around every statement; windows nest and are
+        shared by concurrent statements of the session, each close
+        committing all that is pending then.
+        """
+        # The pair comes from one ``build_backends`` call: one file,
+        # one window (or two memory stores, whose windows are no-ops).
+        return self._fragments.window()
+
+    def open_store(self, name: str) -> Optional[StoreBackend]:
+        """A further logical store (entries that never expire) on the
+        tier's persistent file — same connection, same write-back
+        window — or None when the tier is in memory."""
+        sibling = getattr(self._fragments, "sibling", None)
+        return sibling(name, ttl_s=0.0) if sibling is not None else None
+
+    # ------------------------------------------------------------------
     # Scoped keys
     # ------------------------------------------------------------------
 
@@ -256,7 +281,9 @@ class StorageTier:
         Reading the stamp *on every access* is what makes invalidation
         cross-process: another process bumps the shared file's stamp,
         and the next key we build here lands in the new namespace — the
-        old entries are simply never addressed again.
+        old entries are simply never addressed again.  (Inside a
+        :meth:`window` the backend answers from its first read: a
+        statement runs under one generation.)
         """
         gen = store.generation(self.scope.scope_id)
         with self._lock:
@@ -375,10 +402,7 @@ class StorageTier:
             calls=calls,
         )
         self._results.put(
-            self._scoped(self._results, key),
-            entry,
-            approx_bytes(entry),
-            ttl_s=self._entry_ttl,
+            self._scoped(self._results, key), entry, ttl_s=self._entry_ttl
         )
 
     # ------------------------------------------------------------------
@@ -426,27 +450,28 @@ class StorageTier:
         key = self._scoped(
             self._fragments, self._scan_key(scope, table_name, condition, order)
         )
-        with self._write_lock:
-            existing = self._fragments.peek(key)
-            if existing is not None:
-                # Equal-length fragments merge their columns (both are
-                # prefixes of the same deterministic enumeration, so
-                # position identifies the row); the remaining guards
-                # only see fragments of different lengths.
-                merged = fragment.merged_with(existing)
-                if merged is not None:
-                    fragment = merged
-                elif existing.complete and not fragment.complete:
-                    return  # never replace a complete fragment with a prefix
-                elif (
-                    not existing.complete
-                    and not fragment.complete
-                    and len(existing.rows) > len(fragment.rows)
-                ):
-                    return  # keep the longer already-paid-for prefix
-            self._fragments.put(
-                key, fragment, approx_bytes(fragment), ttl_s=self._entry_ttl
-            )
+
+        def merge(existing: Optional[ScanFragment]) -> Optional[ScanFragment]:
+            if existing is None:
+                return fragment
+            # Equal-length fragments merge their columns (both are
+            # prefixes of the same deterministic enumeration, so
+            # position identifies the row); the remaining guards
+            # only see fragments of different lengths.
+            merged = fragment.merged_with(existing)
+            if merged is not None:
+                return merged
+            if existing.complete and not fragment.complete:
+                return None  # never replace a complete fragment with a prefix
+            if (
+                not existing.complete
+                and not fragment.complete
+                and len(existing.rows) > len(fragment.rows)
+            ):
+                return None  # keep the longer already-paid-for prefix
+            return fragment
+
+        self._fragments.update(key, merge, ttl_s=self._entry_ttl)
 
     def peek_scan_fragment(
         self,
@@ -540,9 +565,7 @@ class StorageTier:
                 scope, table_name, condition, shard_index, shard_count, start
             ),
         )
-        self._fragments.put(
-            key, fragment, approx_bytes(fragment), ttl_s=self._entry_ttl
-        )
+        self._fragments.put(key, fragment, ttl_s=self._entry_ttl)
 
     # ------------------------------------------------------------------
     # Lookup cells
@@ -583,6 +606,25 @@ class StorageTier:
             return False, None
         return None
 
+    def _update_cells(
+        self,
+        scope: Tuple,
+        table_name: str,
+        normalized_key: Tuple,
+        change: Callable[[RowCells], RowCells],
+    ) -> None:
+        """Read-merge-write one entity's cells (atomic in the backend)."""
+        key = self._scoped(
+            self._fragments, self._row_key(scope, table_name, normalized_key)
+        )
+        key_bytes = approx_bytes(normalized_key)
+        self._fragments.update(
+            key,
+            lambda cells: change(cells or RowCells()),
+            size_of=lambda cells: approx_bytes(cells) + key_bytes,
+            ttl_s=self._entry_ttl,
+        )
+
     def store_lookup_row(
         self,
         scope: Tuple,
@@ -591,18 +633,14 @@ class StorageTier:
         attributes: Sequence[str],
         values: Sequence[Value],
     ) -> None:
-        key = self._scoped(
-            self._fragments, self._row_key(scope, table_name, normalized_key)
+        # Frozen: the backend may apply the change again at flush time.
+        attributes, values = tuple(attributes), tuple(values)
+        self._update_cells(
+            scope,
+            table_name,
+            normalized_key,
+            lambda cells: cells.with_values(attributes, values),
         )
-        with self._write_lock:
-            cells: Optional[RowCells] = self._fragments.peek(key)
-            cells = (cells or RowCells()).with_values(attributes, values)
-            self._fragments.put(
-                key,
-                cells,
-                approx_bytes(cells) + approx_bytes(normalized_key),
-                ttl_s=self._entry_ttl,
-            )
 
     def store_lookup_negative(
         self,
@@ -611,18 +649,13 @@ class StorageTier:
         normalized_key: Tuple,
         attributes: Sequence[str],
     ) -> None:
-        key = self._scoped(
-            self._fragments, self._row_key(scope, table_name, normalized_key)
+        attributes = tuple(attributes)
+        self._update_cells(
+            scope,
+            table_name,
+            normalized_key,
+            lambda cells: cells.with_negative(attributes),
         )
-        with self._write_lock:
-            cells: Optional[RowCells] = self._fragments.peek(key)
-            cells = (cells or RowCells()).with_negative(attributes)
-            self._fragments.put(
-                key,
-                cells,
-                approx_bytes(cells) + approx_bytes(normalized_key),
-                ttl_s=self._entry_ttl,
-            )
 
     def peek_lookup_coverage(
         self,

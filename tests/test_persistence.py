@@ -10,17 +10,26 @@ concurrent multi-process sharing of one store file, and graceful
 """
 
 import ast
+import pickle
+import sqlite3
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EngineConfig, parse_storage_scope
 from repro.core.engine import LLMStorageEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryCancelled, TransportError
+from repro.eval.worlds import all_worlds
+from repro.llm.interface import CompletionOptions
 from repro.llm.noise import NoiseConfig
 from repro.llm.simulated import SimulatedLLM
+from repro.runtime.scheduler import CancellationToken
+from repro.stats import StatisticsCatalog
 from repro.storage.backend import StorageScope, build_backends
 from repro.storage.persistent import SqliteBackend, StorageBackendError
 from repro.storage.store import LRUByteStore
@@ -532,3 +541,502 @@ def test_concurrent_processes_share_one_store_byte_identically(tmp_path):
     other = child_output(spawn_child(script, db_path, "user:outsider"))
     assert other["rows"] == out_first["rows"]
     assert other["calls"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Statement-scoped group commit
+# ---------------------------------------------------------------------------
+
+TEN_STATEMENTS = WORKLOAD + [
+    "SELECT city, city_pop FROM cities WHERE country = 'France'",
+    "SELECT c.city, k.population FROM cities c "
+    "JOIN countries k ON k.name = c.country WHERE c.city_pop > 3000",
+    "SELECT continent, COUNT(*) FROM countries GROUP BY continent",
+    "SELECT name FROM countries ORDER BY gdp DESC LIMIT 2",
+    WORKLOAD[0],  # a result-cache hit: its recency bump is the write
+    "SELECT COUNT(*) FROM countries WHERE continent = 'Asia'",
+]
+
+#: SQL statements (BEGIN and COMMIT included) the ten statements above
+#: execute against the store file, as counted by sqlite3's trace
+#: callback.  Counts, not times: they repeat exactly on every host.  The
+#: write-through tier needed 267 for the same run (85 for the join), in
+#: 25 write transactions.
+SQL_CEILING_TOTAL = 141
+SQL_CEILING_ONE_STATEMENT = 27
+
+
+def rows_in_file(path):
+    """Every row of the store file, through an independent connection
+    (WAL isolation is per connection: this sees what another process
+    would)."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return {
+            (store, key): pickle.loads(blob)
+            for store, key, blob in conn.execute(
+                "SELECT store, key, payload FROM entries"
+            )
+        }
+    finally:
+        conn.close()
+
+
+class ScriptedModel:
+    """Delegates to a real model; ``on_call(n)`` runs before the n-th
+    call and may raise, cancel, or look at the store file."""
+
+    def __init__(self, inner, on_call):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.on_call = on_call
+        self.calls = 0
+
+    def complete(self, prompt, options=CompletionOptions()):
+        self.calls += 1
+        self.on_call(self.calls)
+        return self.inner.complete(prompt, options)
+
+
+def test_one_write_transaction_per_statement_and_sql_ceiling(
+    tmp_path, mini_world, monkeypatch
+):
+    executed = []
+    real_connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = real_connect(*args, **kwargs)
+        conn.set_trace_callback(executed.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    engine = build_sqlite_engine(mini_world, tmp_path / "tier.db")
+    per_statement = []
+    for sql in TEN_STATEMENTS:
+        del executed[:]
+        engine.execute(sql)
+        commits = sum(1 for text in executed if text.strip() == "COMMIT")
+        # Exactly one: every statement writes something back (its
+        # result, or the recency bump of the result it was served).
+        assert commits == 1, (sql, executed)
+        per_statement.append(len(executed))
+    assert engine.usage.result_cache_hits == 1
+    assert max(per_statement) <= SQL_CEILING_ONE_STATEMENT, per_statement
+    assert sum(per_statement) <= SQL_CEILING_TOTAL, per_statement
+
+
+def test_window_reads_its_own_writes_across_stores(tmp_path, country_table):
+    path = tmp_path / "store.db"
+    tier = make_tier(path, "application")
+    result_key = ("result", "m", (), "", "q")
+    scope = ("m", (), "")
+    with tier.window():
+        store_result(tier, result_key, country_table)
+        tier.store_lookup_row(scope, "countries", ("france",), ["gdp"], [1.0])
+        # peek -> merge -> put on the pending cells, not on the file's.
+        tier.store_lookup_row(
+            scope, "countries", ("france",), ["population"], [68000]
+        )
+        assert tier.get_result(result_key) is not None
+        assert tier.lookup_cells(
+            scope, "countries", ("france",), ["gdp", "population"]
+        ) == (True, [1.0, 68000])
+        assert rows_in_file(path) == {}  # nothing is committed yet
+    committed = rows_in_file(path)
+    assert sorted(store for store, _ in committed) == ["fragments", "results"]
+    # A tier of another process (its own connection) now sees both.
+    other = make_tier(path, "application")
+    assert other.get_result(result_key) is not None
+    assert other.lookup_cells(
+        scope, "countries", ("france",), ["gdp", "population"]
+    ) == (True, [1.0, 68000])
+
+
+def test_pending_merge_is_redone_against_the_row_in_the_file(tmp_path):
+    """The satellite: a merge computed before a (long) model call is
+    re-applied at flush time to whatever another process wrote since."""
+    path = tmp_path / "store.db"
+    ours = make_tier(path, "application")
+    theirs = make_tier(path, "application")
+    scope = ("m", (), "")
+    with ours.window():
+        ours.store_lookup_row(scope, "countries", ("france",), ["gdp"], [1.0])
+        # ... a model call later, another process has stored the entity.
+        theirs.store_lookup_row(
+            scope, "countries", ("france",), ["population"], [68000]
+        )
+    assert theirs.lookup_cells(
+        scope, "countries", ("france",), ["gdp", "population"]
+    ) == (True, [1.0, 68000])
+
+
+JOIN_SQL = (
+    "SELECT m.title, d.born FROM movies m "
+    "JOIN directors d ON d.name = m.director WHERE m.year >= 2010"
+)
+
+
+@pytest.mark.parametrize(
+    "sql, shards, fail_at, kept",
+    [
+        # The sharded movies scan finished (its union fragment is kept);
+        # a chain of the sharded directors scan dies: nothing of it.
+        (JOIN_SQL, 4, 7, "complete"),
+        # Single chains: the first scan's fragment, nothing of the
+        # scan whose second page never came.
+        (JOIN_SQL, 1, 4, "complete"),
+        # EXISTS closes its subquery's stream after one page: that
+        # prefix (complete=False) is kept when the outer scan dies.
+        (
+            "SELECT title FROM movies WHERE EXISTS "
+            "(SELECT 1 FROM directors WHERE born > 1900)",
+            1,
+            4,
+            "prefix",
+        ),
+    ],
+)
+@pytest.mark.parametrize("cancelled", [False, True])
+def test_failed_statement_persists_what_write_through_would(
+    tmp_path, sql, shards, fail_at, kept, cancelled
+):
+    world = all_worlds()["movies"]
+
+    def run(backend, path):
+        token = CancellationToken() if cancelled else None
+
+        def on_call(n):
+            if n >= fail_at:
+                if token is None:
+                    raise TransportError("wire melted")
+                token.cancel("cancelled by the test")
+
+        config = EngineConfig(
+            storage_mode="materialize",
+            storage_backend=backend,
+            storage_path=path,
+            storage_scope="application",
+            scan_shards=shards,
+            shard_min_rows=1,
+            max_in_flight=1,
+            scan_prefetch_pages=0,
+        )
+        model = ScriptedModel(
+            SimulatedLLM(world, NoiseConfig.perfect(), seed=5), on_call
+        )
+        engine = make_engine(model, world, config)
+        with pytest.raises((TransportError, QueryCancelled)):
+            engine._execute_statement(
+                sql, engine._session.query_meter(), cancel=token
+            )
+        return engine
+
+    # The memory tier writes through: its content is exactly what the
+    # statement had completed when it failed.
+    memory = run("memory", None)
+    expected = {
+        ("fragments", repr(key)): entry.payload
+        for key, entry in memory.storage._fragments._entries.items()
+    }
+    assert not memory.storage._results._entries
+    assert [fragment.complete for fragment in expected.values()] == [
+        kept == "complete"
+    ]
+    path = tmp_path / "tier.db"
+    run("sqlite", str(path))
+    assert rows_in_file(path) == expected
+
+
+SHARED_READER = """
+import pickle, sqlite3, sys
+conn = sqlite3.connect(sys.argv[1])
+print(sorted(
+    (store, key) for store, key in
+    conn.execute("SELECT store, key FROM entries")
+))
+"""
+
+
+def test_other_process_sees_whole_statement_after_it_returns(
+    tmp_path, mini_world
+):
+    path = tmp_path / "tier.db"
+    seen_during = []
+    model = ScriptedModel(
+        SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5),
+        lambda n: seen_during.append(len(rows_in_file(path))),
+    )
+    engine = make_engine(model, mini_world, sqlite_config(path))
+    before = 0
+    for sql in TEN_STATEMENTS[:6]:
+        del seen_during[:]
+        engine.execute(sql)
+        # While the statement ran, nobody else saw any part of it ...
+        assert all(count == before for count in seen_during), sql
+        after = len(rows_in_file(path))
+        assert after > before or not seen_during
+        before = after
+    assert model.calls > 0
+    # ... and once it has returned, a real second process sees all of
+    # it: the engine has not been closed, and nothing is left pending.
+    script = tmp_path / "reader.py"
+    script.write_text(SHARED_READER, encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(script), str(path)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert ast.literal_eval(out.stdout.strip()) == sorted(rows_in_file(path))
+    assert len(rows_in_file(path)) == before
+
+
+def test_close_flushes_storage_and_stays_readable(tmp_path, mini_world):
+    path = tmp_path / "tier.db"
+    model = SimulatedLLM(mini_world, NoiseConfig.perfect(), seed=5)
+    engine = make_engine(
+        model, mini_world, sqlite_config(path, enable_adaptive=True)
+    )
+    engine.execute("SELECT name FROM countries")
+    engine.stats_catalog.record_table_rows("cities", 11)  # not flushed yet
+    engine.close()
+    engine.close()  # idempotent
+    stores = {store for store, _ in rows_in_file(path)}
+    assert stores == {"fragments", "results", "stats"}
+    (payload,) = [
+        value for (store, _), value in rows_in_file(path).items()
+        if store == "stats"
+    ]
+    assert payload["tables"]["cities"] == 11
+    # Readers keep working after close(): the connection is not torn down.
+    assert engine.storage.bytes_used > 0
+    assert engine.storage_stats.backend == "sqlite"
+    assert engine.usage.calls > 0
+    assert engine.storage.backend_note is None
+
+
+def test_close_is_safe_after_the_backend_degraded(tmp_path, mini_world):
+    engine = build_sqlite_engine(mini_world, tmp_path / "tier.db")
+    reference = run_workload(engine)
+    engine.storage._fragments._file.conn.close()  # the file goes away
+    assert run_workload(engine) == reference  # still answers, from memory
+    assert "degraded" in engine.storage._fragments.failure_note
+    engine.close()
+    engine.close()
+    assert engine.usage.calls > 0 and engine.storage.bytes_used > 0
+
+
+def test_degrade_inside_a_window_keeps_read_your_writes(tmp_path):
+    backend = make_backend(tmp_path, budget_bytes=10_000)
+    with backend.window():
+        backend.put(("k", 1), "v1", size=10)
+        backend._file.conn.close()  # the file goes away mid-statement
+        assert backend.get(("k", 2)) is None  # first failing access
+        assert backend.failure_note is not None
+        assert backend.peek(("k", 1)) == "v1"  # moved into the fallback
+        backend.put(("k", 3), "v3", size=10)
+    assert backend.get(("k", 3)) == "v3"
+    assert backend.bytes_used == 20
+
+
+def test_window_flushes_early_past_the_store_budget(tmp_path):
+    path = tmp_path / "store.db"
+    backend = SqliteBackend(str(path), budget_bytes=1000)
+    with backend.window():
+        for i in range(30):
+            backend.put(("k", i), "x" * 10, size=100)
+            # Bounded memory without a knob: pending bytes never pass
+            # the store's own budget by more than the entry that tipped it.
+            assert backend._pending_bytes <= 1000 + 200
+        assert rows_in_file(path)  # flushed before the window closed
+    assert backend.bytes_used <= 1000
+
+
+KEYS = [("k", i) for i in range(6)]
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(KEYS), st.integers(1, 4)),
+        st.tuples(st.just("get"), st.sampled_from(KEYS)),
+        st.tuples(st.just("peek"), st.sampled_from(KEYS)),
+        st.tuples(st.just("remove"), st.sampled_from(KEYS)),
+        st.tuples(st.just("advance"), st.integers(1, 6)),
+        st.tuples(st.just("window")),  # close the window, open the next
+    ),
+    max_size=40,
+)
+
+
+def apply_op(store, op, serial):
+    """One store access (``advance`` and ``window`` are the caller's)."""
+    if op[0] == "put":
+        store.put(op[1], f"v{serial}", size=op[2] * 100)
+    elif op[0] == "get":
+        return store.get(op[1])
+    elif op[0] == "peek":
+        return store.peek(op[1])
+    elif op[0] == "remove":
+        store.remove(op[1])
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS)
+def test_windowed_equals_unwindowed_within_budget(tmp_path_factory, ops):
+    """Same sequence, write-through vs buffered: same answers, same
+    visible contents, same counters, while the budget is never hit."""
+    directory = tmp_path_factory.mktemp("prop")
+    clock = FakeClock()
+    plain = SqliteBackend(
+        str(directory / "plain.db"), 1_000_000, ttl_s=10.0, clock=clock
+    )
+    windowed = SqliteBackend(
+        str(directory / "windowed.db"), 1_000_000, ttl_s=10.0, clock=clock
+    )
+    window = windowed.window()
+    window.__enter__()
+    for serial, op in enumerate(ops):
+        if op[0] == "window":
+            window.__exit__(None, None, None)
+            window = windowed.window()
+            window.__enter__()
+            continue
+        if op[0] == "advance":
+            clock.advance(op[1])
+            continue
+        assert apply_op(plain, op, serial) == apply_op(
+            windowed, op, serial
+        ), op
+    for key in KEYS:
+        assert plain.peek(key) == windowed.peek(key), key
+    window.__exit__(None, None, None)
+    for key in KEYS:
+        assert plain.peek(key) == windowed.peek(key), key
+    assert plain.bytes_used == windowed.bytes_used
+    for counter in ("hits", "misses", "expirations", "stored", "oversized"):
+        assert getattr(plain.stats, counter) == getattr(
+            windowed.stats, counter
+        ), counter
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS)
+def test_windowed_store_is_within_budget_after_every_flush(
+    tmp_path_factory, ops
+):
+    """Over budget, eviction moves to the flush: afterwards the store is
+    within budget and the victims are exactly the least recently used."""
+    directory = tmp_path_factory.mktemp("prop")
+    path = directory / "store.db"
+    budget = 700
+    store = SqliteBackend(str(path), budget)
+    recency = {}  # key -> size, least recently used first
+
+    def check_flush():
+        expected = dict(recency)
+        while sum(expected.values()) > budget and len(expected) > 1:
+            del expected[next(iter(expected))]  # strict last_used order
+        recency.clear()
+        recency.update(expected)
+        conn = sqlite3.connect(str(path))
+        try:
+            kept = [
+                key for (key,) in conn.execute(
+                    "SELECT key FROM entries ORDER BY last_used"
+                )
+            ]
+        finally:
+            conn.close()
+        assert kept == [repr(key) for key in expected]
+        assert sum(expected.values()) <= budget or len(expected) == 1
+
+    window = store.window()
+    window.__enter__()
+    for serial, op in enumerate(ops):
+        if op[0] == "window":
+            window.__exit__(None, None, None)
+            check_flush()
+            window = store.window()
+            window.__enter__()
+        elif op[0] == "put":
+            apply_op(store, op, serial)
+            recency.pop(op[1], None)
+            recency[op[1]] = op[2] * 100
+            if store._pending_bytes == 0:  # flushed early: over budget
+                check_flush()
+        elif op[0] == "get":
+            if apply_op(store, op, serial) is not None:
+                recency[op[1]] = recency.pop(op[1])
+        elif op[0] == "remove":
+            apply_op(store, op, serial)
+            recency.pop(op[1], None)
+    window.__exit__(None, None, None)
+    check_flush()
+
+
+def test_concurrent_windows_never_lose_a_merge(tmp_path):
+    """Stress: more threads than cores, over two connections to one
+    file, each merging its own attributes into the same few entities
+    inside overlapping windows.  A lost read-merge-write — in the shared
+    pending map or across the connections — would drop an attribute."""
+    path = tmp_path / "store.db"
+    tiers = [make_tier(path, "application"), make_tier(path, "application")]
+    scope = ("m", (), "")
+    entities = [("e", i) for i in range(3)]
+    workers, rounds = 8, 12
+    errors = []
+
+    def work(worker: int) -> None:
+        tier = tiers[worker % 2]
+        try:
+            for round_ in range(rounds):
+                with tier.window():
+                    for entity in entities:
+                        tier.store_lookup_row(
+                            scope, "t", entity, [f"a{worker}_{round_}"], [worker]
+                        )
+        except Exception as exc:  # surfaced below, with the traceback
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(worker,), daemon=True)
+            for worker in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    wanted = [
+        f"a{worker}_{round_}"
+        for worker in range(workers)
+        for round_ in range(rounds)
+    ]
+    reader = make_tier(path, "application")
+    for entity in entities:
+        outcome = reader.lookup_cells(scope, "t", entity, wanted)
+        assert outcome is not None and outcome[0], entity
+    assert tiers[0].backend_note is None
+    assert all(tier._fragments.failure_note is None for tier in tiers)
+
+
+def test_catalog_flushes_interleaved_across_connections_lose_nothing(tmp_path):
+    path = str(tmp_path / "store.db")
+    key = ("stats", "application", "shared", "m", "c")
+    backends = [
+        SqliteBackend(path, 1_000_000, store="stats") for _ in range(2)
+    ]
+    ours, theirs = (StatisticsCatalog(backend) for backend in backends)
+    for catalog in (ours, theirs):
+        catalog.set_scope(key)
+    ours.record_selectivity("t", "p", 10, 5)
+    theirs.record_selectivity("t", "p", 10, 1)
+    with backends[0].window():
+        ours.flush()    # merged with a blob that the next line outdates
+        theirs.flush()  # written through on its own connection
+    fresh = StatisticsCatalog(SqliteBackend(path, 1_000_000, store="stats"))
+    fresh.set_scope(key)
+    assert fresh.observed_selectivity("t", "p") == 6 / 20
