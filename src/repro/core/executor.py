@@ -640,7 +640,8 @@ def _rename_table(table: Table, new_name: str) -> Table:
         primary_key=table.schema.primary_key,
         description=table.schema.description,
     )
-    return Table(schema, table.rows)
+    # Same columns tuple, so the rows need no second validation pass.
+    return Table.from_validated(schema, table.rows)
 
 
 def _rewrite_from_clause(

@@ -35,7 +35,7 @@ from repro.plan.physical import (
 )
 from repro.relational.aggregates import compare_values
 from repro.relational.executor import hashable_value
-from repro.relational.expressions import Evaluator, RowScope, is_true
+from repro.relational.expressions import Evaluator, RowLayout, is_true
 from repro.relational.types import Value
 
 
@@ -231,16 +231,16 @@ def reduce_rows(
         position[item.column.lower()] if item.column is not None else None
         for item in spec.items
     ]
-    evaluator = Evaluator() if spec.residual_filter is not None else None
+    keep = None
+    if spec.residual_filter is not None:
+        keep = Evaluator().compile(
+            spec.residual_filter, RowLayout([(spec.binding, columns)])
+        )
 
     partials: Partials = {}
     for row in rows:
-        if evaluator is not None:
-            scope = RowScope(
-                {spec.binding: {name: row[i] for name, i in position.items()}}
-            )
-            if not is_true(evaluator.evaluate(spec.residual_filter, scope)):
-                continue
+        if keep is not None and not is_true(keep(row)):
+            continue
         key = tuple(hashable_value(row[i]) for i in group_positions)
         group = partials.get(key)
         if group is None:

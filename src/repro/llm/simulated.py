@@ -31,7 +31,7 @@ that row-level metrics remain well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import LLMProtocolError
 from repro.llm import noise as noise_mod
@@ -42,7 +42,7 @@ from repro.llm.world import World
 from repro.prompts import grammar
 from repro.relational.catalog import Catalog
 from repro.relational.executor import ReferenceExecutor
-from repro.relational.expressions import Evaluator, RowScope, is_true
+from repro.relational.expressions import Evaluator, RowLayout, is_true
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.relational.types import DataType, Value
@@ -279,7 +279,7 @@ class SimulatedLLM:
         sample_index at temperature > 0), so pagination is consistent
         across pages of the same scan.
         """
-        evaluator = Evaluator()
+        passes = _condition_test(table_name, schema, condition)
         believed: List[Tuple[Tuple, Dict[str, Value]]] = []
         table = self.world.table(table_name)
         for row in table.rows:
@@ -287,13 +287,11 @@ class SimulatedLLM:
             if not self._knows_row(table_name, key):
                 continue
             beliefs = self._believed_row(table_name, key, options, mode="enum")
-            if condition is not None:
-                scope = RowScope({table_name: beliefs})
+            if passes is not None:
                 try:
-                    passes = is_true(evaluator.evaluate(condition, scope))
+                    if not passes(beliefs):
+                        continue
                 except Exception:
-                    passes = False
-                if not passes:
                     continue
             believed.append((_order_key(key), beliefs))
 
@@ -306,10 +304,9 @@ class SimulatedLLM:
             ):
                 continue
             fabricated = self._fabricate_row(table_name, schema, slot)
-            if condition is not None:
-                scope = RowScope({table_name: fabricated})
+            if passes is not None:
                 try:
-                    if not is_true(evaluator.evaluate(condition, scope)):
+                    if not passes(fabricated):
                         continue
                 except Exception:
                     continue
@@ -446,7 +443,7 @@ class SimulatedLLM:
             raise LLMProtocolError("judge prompt has no ENTITIES section")
 
         key_index = self._lookup_index(table_name, key_columns)
-        evaluator = Evaluator()
+        passes = _condition_test(table_name, schema, condition)
         lines: List[str] = []
         for number, entity in enumerate(entities, start=1):
             try:
@@ -459,9 +456,8 @@ class SimulatedLLM:
                 lines.append(f"{number}. {grammar.UNKNOWN_TEXT}")
                 continue
             beliefs = self._believed_row(table_name, primary_key, options, mode="judge")
-            scope = RowScope({table_name: beliefs})
             try:
-                verdict = is_true(evaluator.evaluate(condition, scope))
+                verdict = passes(beliefs)
             except Exception:
                 lines.append(f"{number}. {grammar.UNKNOWN_TEXT}")
                 continue
@@ -618,6 +614,22 @@ def _normalize_key(values: Tuple[Value, ...]) -> Tuple:
         else:
             normalized.append(("0", None))
     return tuple(normalized)
+
+
+def _condition_test(
+    table_name: str, schema: TableSchema, condition: Optional[ast.Expr]
+) -> Optional[Callable[[Dict[str, Value]], bool]]:
+    """``condition`` as an is-TRUE test over believed rows, resolved once.
+
+    Believed and fabricated rows are dicts in schema column order, so
+    their values are the flat row of the table's layout.
+    """
+    if condition is None:
+        return None
+    test = Evaluator().compile(
+        condition, RowLayout([(table_name, schema.column_names)])
+    )
+    return lambda beliefs: is_true(test(tuple(beliefs.values())))
 
 
 def _order_key(values: Tuple[Value, ...]) -> Tuple:

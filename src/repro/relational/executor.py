@@ -17,12 +17,31 @@ Semantics notes (shared with the hybrid engine, see DESIGN.md §5):
 * ORDER BY sorts NULLs first ascending, last descending, unless
   ``NULLS FIRST/LAST`` overrides.
 * INTERSECT/EXCEPT use set semantics; UNION honours ALL.
+* A FROM-clause row is a flat tuple addressed through a
+  :class:`~repro.relational.expressions.RowLayout` built once per clause
+  (a join row is ``left_row + right_row``); every clause's expressions
+  are compiled against that layout once and then called per row.
+* Joins are left-major: output keeps left-input order and, within one
+  left row, right-input order.  Both join algorithms produce exactly
+  that order, so LIMIT without ORDER BY and sort ties never depend on
+  which one ran.  When the condition's leftmost conjunct is
+  ``column = column`` with one operand resolving to exactly one column of
+  the left input and the other to exactly one of the right, the right
+  rows are bucketed by key, each left row probes its bucket, and the
+  *full* condition is evaluated on those candidates only.  The nested
+  loop runs for every other condition (non-equi, constant, correlated or
+  ambiguous references) and wherever it would raise or match where a
+  probe would silently skip: keys of more than one comparison class
+  (number / text / bool), NaN keys, or NULL keys when further conjuncts
+  exist.  The choice follows from the condition's shape and the key
+  values, never from a setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.relational.aggregates import create_accumulator
@@ -30,7 +49,8 @@ from repro.relational.catalog import Catalog
 from repro.relational.expressions import (
     EMPTY_SCOPE,
     Evaluator,
-    RowScope,
+    RowFn,
+    RowLayout,
     Scope,
     is_true,
 )
@@ -41,16 +61,16 @@ from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.printer import print_expression
 
-#: One FROM-clause row: binding name -> column name -> value.
-BindingRow = Dict[str, Dict[str, Value]]
+#: One FROM-clause row: every binding's columns, flat, in layout order.
+Row = Tuple[Value, ...]
 
 
 @dataclass
 class FromResult:
-    """Rows produced by a FROM clause plus the ordered binding layout."""
+    """Rows produced by a FROM clause plus the layout that addresses them."""
 
-    bindings: List[Tuple[str, List[str]]]
-    rows: List[BindingRow]
+    layout: RowLayout
+    rows: List[Row]
 
 
 def hashable_value(value: Value):
@@ -151,47 +171,39 @@ class ReferenceExecutor:
     # -- single query -------------------------------------------------------------------
 
     def _execute_query(self, query: ast.Query, outer: Scope) -> Table:
-        from_result = self._execute_from(query.from_clause, outer)
+        source = self._execute_from(query.from_clause, outer)
+        layout, rows = source.layout, source.rows
+        compile_ = self._evaluator.compile
 
         if query.where is not None:
-            kept = []
-            for row in from_result.rows:
-                scope = RowScope(row, parent=outer)
-                if is_true(self._evaluator.evaluate(query.where, scope)):
-                    kept.append(row)
-            from_result = FromResult(from_result.bindings, kept)
+            where = compile_(query.where, layout)
+            rows = [row for row in rows if is_true(where(row))]
 
-        select_items = self._expand_stars(query.select, from_result.bindings)
+        select_items = self._expand_stars(query.select, layout.bindings)
         names = self._output_names(select_items)
 
         needs_grouping = bool(query.group_by) or self._contains_any_aggregate(
             select_items, query
         )
+        # ``order_rows[i]`` is the row ORDER BY expressions of output row
+        # ``i`` run against, laid out by ``layout``.
         if needs_grouping:
-            output_rows, order_scopes = self._execute_grouped(
-                query, select_items, from_result, outer
+            output_rows, order_rows, layout = self._execute_grouped(
+                query, select_items, layout, rows
             )
         else:
             if query.having is not None:
                 raise ExecutionError("HAVING requires GROUP BY or aggregates")
-            output_rows = []
-            order_scopes: List[Tuple[Scope, Optional[Evaluator]]] = []
-            for row in from_result.rows:
-                scope = RowScope(row, parent=outer)
-                output_rows.append(
-                    tuple(
-                        self._evaluator.evaluate(item.expr, scope)
-                        for item in select_items
-                    )
-                )
-                order_scopes.append((scope, None))
+            select = [compile_(item.expr, layout) for item in select_items]
+            output_rows = [tuple(fn(row) for fn in select) for row in rows]
+            order_rows = rows
 
         if query.distinct:
-            output_rows, order_scopes = _dedupe_with(output_rows, order_scopes)
+            output_rows, order_rows = _dedupe_with(output_rows, order_rows)
 
         if query.order_by:
             output_rows = self._order_rows(
-                output_rows, order_scopes, names, query.order_by
+                output_rows, order_rows, layout, names, query.order_by
             )
 
         output_rows = _apply_limit(output_rows, query.limit, query.offset)
@@ -203,25 +215,18 @@ class ReferenceExecutor:
         self, clause: Optional[ast.TableRef], outer: Scope
     ) -> FromResult:
         if clause is None:
-            return FromResult(bindings=[], rows=[{}])
+            return FromResult(RowLayout([], outer), [()])
         return self._eval_table_ref(clause, outer)
 
     def _eval_table_ref(self, ref: ast.TableRef, outer: Scope) -> FromResult:
         if isinstance(ref, ast.NamedTable):
             table = self._catalog.table(ref.name)
-            binding = ref.binding_name
-            columns = table.schema.column_names
-            rows = [
-                {binding: dict(zip(columns, row))} for row in table.rows
-            ]
-            return FromResult(bindings=[(binding, columns)], rows=rows)
+            layout = RowLayout([(ref.binding_name, table.schema.column_names)], outer)
+            return FromResult(layout, table.rows)
         if isinstance(ref, ast.SubqueryTable):
             table = self._execute_query(ref.query, EMPTY_SCOPE)
-            columns = table.schema.column_names
-            rows = [
-                {ref.alias: dict(zip(columns, row))} for row in table.rows
-            ]
-            return FromResult(bindings=[(ref.alias, columns)], rows=rows)
+            layout = RowLayout([(ref.alias, table.schema.column_names)], outer)
+            return FromResult(layout, table.rows)
         if isinstance(ref, ast.Join):
             return self._eval_join(ref, outer)
         raise ExecutionError(f"cannot evaluate table reference {type(ref).__name__}")
@@ -229,36 +234,22 @@ class ReferenceExecutor:
     def _eval_join(self, join: ast.Join, outer: Scope) -> FromResult:
         left = self._eval_table_ref(join.left, outer)
         right = self._eval_table_ref(join.right, outer)
-        left_names = {name for name, _ in left.bindings}
-        for name, _ in right.bindings:
-            if name in left_names:
-                raise ExecutionError(f"duplicate table name or alias {name!r}")
-        bindings = left.bindings + right.bindings
+        layout = left.layout.joined(right.layout)
 
-        combined: List[BindingRow] = []
         if join.kind == "cross":
-            for lrow in left.rows:
-                for rrow in right.rows:
-                    combined.append({**lrow, **rrow})
-            return FromResult(bindings, combined)
+            rows = [lrow + rrow for lrow in left.rows for rrow in right.rows]
+            return FromResult(layout, rows)
 
-        null_right: BindingRow = {
-            name: {column: None for column in columns}
-            for name, columns in right.bindings
-        }
-        for lrow in left.rows:
-            matched = False
-            for rrow in right.rows:
-                candidate = {**lrow, **rrow}
-                scope = RowScope(candidate, parent=outer)
-                if join.condition is None or is_true(
-                    self._evaluator.evaluate(join.condition, scope)
-                ):
-                    combined.append(candidate)
-                    matched = True
-            if join.kind == "left" and not matched:
-                combined.append({**lrow, **null_right})
-        return FromResult(bindings, combined)
+        condition = (
+            self._evaluator.compile(join.condition, layout)
+            if join.condition is not None
+            else (lambda row: True)
+        )
+        candidates = _join_candidates(join.condition, layout, left, right)
+        null_right = (None,) * right.layout.width if join.kind == "left" else None
+        return FromResult(
+            layout, _join_rows(left.rows, candidates, condition, null_right)
+        )
 
     # -- select list ---------------------------------------------------------------------
 
@@ -340,78 +331,67 @@ class ReferenceExecutor:
         self,
         query: ast.Query,
         select_items: List[ast.SelectItem],
-        from_result: FromResult,
-        outer: Scope,
-    ) -> Tuple[List[Tuple[Value, ...]], List[Tuple[Scope, Optional[Evaluator]]]]:
+        layout: RowLayout,
+        rows: List[Row],
+    ) -> Tuple[List[Row], List[Row], RowLayout]:
+        """Output rows, the group row behind each, and the group rows' layout.
+
+        A group row is the group's representative source row followed by
+        its aggregate results, so HAVING, the select list and ORDER BY
+        read aggregates from slots like any other column.
+        """
+        compile_ = self._evaluator.compile
         aggregates = self._collect_aggregates(select_items, query)
+        arguments = [
+            (call, self._aggregate_argument(call, layout))
+            for call in aggregates.values()
+        ]
+        grouped_layout = layout.with_aggregates(list(aggregates))
+        having = None
+        if query.having is not None:
+            having = compile_(query.having, grouped_layout)
+        select = [compile_(item.expr, grouped_layout) for item in select_items]
 
         # Group rows, preserving first-seen order.
-        groups: Dict[Tuple, List[BindingRow]] = {}
-        order: List[Tuple] = []
-        for row in from_result.rows:
-            scope = RowScope(row, parent=outer)
-            if query.group_by:
-                key = tuple(
-                    _hashable(self._evaluator.evaluate(expr, scope))
-                    for expr in query.group_by
-                )
-            else:
-                key = ()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+        groups: Dict[Tuple, List[Row]] = {}
+        if query.group_by:
+            keys = [compile_(expr, layout) for expr in query.group_by]
+            for row in rows:
+                key = tuple(_hashable(fn(row)) for fn in keys)
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = members = []
+                members.append(row)
+        else:
+            # Aggregates over an empty input still produce exactly one row.
+            groups[()] = rows
 
-        if not query.group_by and not groups:
-            # Aggregates over an empty input produce exactly one row.
-            groups[()] = []
-            order.append(())
-
-        output_rows: List[Tuple[Value, ...]] = []
-        order_scopes: List[Tuple[Scope, Optional[Evaluator]]] = []
-        for key in order:
-            member_rows = groups[key]
-            agg_values: Dict[str, Value] = {}
-            for printed, call in aggregates.items():
+        output_rows: List[Row] = []
+        group_rows: List[Row] = []
+        for members in groups.values():
+            results = []
+            for call, argument in arguments:
                 accumulator = self._build_accumulator(call)
-                for row in member_rows:
-                    scope = RowScope(row, parent=outer)
-                    if call.args and isinstance(call.args[0], ast.Star):
-                        accumulator.add(1)
-                    elif call.args:
-                        accumulator.add(
-                            self._evaluator.evaluate(call.args[0], scope)
-                        )
-                    else:
-                        raise ExecutionError(
-                            f"aggregate {call.name} requires an argument"
-                        )
-                agg_values[printed] = accumulator.result()
-
-            representative: BindingRow
-            if member_rows:
-                representative = member_rows[0]
-            else:
-                representative = {
-                    name: {column: None for column in columns}
-                    for name, columns in from_result.bindings
-                }
-            scope = RowScope(representative, parent=outer)
-            grouped_evaluator = self._evaluator.with_aggregates(agg_values)
-
-            if query.having is not None and not is_true(
-                grouped_evaluator.evaluate(query.having, scope)
-            ):
+                for row in members:
+                    accumulator.add(argument(row))
+                results.append(accumulator.result())
+            representative = members[0] if members else (None,) * layout.width
+            group_row = representative + tuple(results)
+            if having is not None and not is_true(having(group_row)):
                 continue
+            output_rows.append(tuple(fn(group_row) for fn in select))
+            group_rows.append(group_row)
+        return output_rows, group_rows, grouped_layout
 
-            output_rows.append(
-                tuple(
-                    grouped_evaluator.evaluate(item.expr, scope)
-                    for item in select_items
-                )
-            )
-            order_scopes.append((scope, grouped_evaluator))
-        return output_rows, order_scopes
+    def _aggregate_argument(
+        self, call: ast.FunctionCall, layout: RowLayout
+    ) -> Optional[RowFn]:
+        """What each member row feeds the accumulator (1 for ``COUNT(*)``)."""
+        if len(call.args) != 1:
+            return None  # _build_accumulator rejects the call before any row
+        if isinstance(call.args[0], ast.Star):
+            return lambda row: 1
+        return self._evaluator.compile(call.args[0], layout)
 
     def _build_accumulator(self, call: ast.FunctionCall):
         if len(call.args) != 1:
@@ -423,83 +403,197 @@ class ReferenceExecutor:
 
     def _order_rows(
         self,
-        rows: List[Tuple[Value, ...]],
-        scopes: List[Tuple[Scope, Optional[Evaluator]]],
+        rows: List[Row],
+        source_rows: List[Row],
+        layout: RowLayout,
         names: List[str],
         order_by: List[ast.OrderItem],
-    ) -> List[Tuple[Value, ...]]:
+    ) -> List[Row]:
+        """Sort output ``rows``; ``source_rows[i]`` is what produced ``rows[i]``.
+
+        An item naming an output column (by position or name) reads the
+        output row; any other expression runs against the source row.
+        """
         lowered_names = [name.lower() for name in names]
+        keys: List[Tuple[bool, RowFn]] = []
+        for item in order_by:
+            output_column = _output_column(item.expr, lowered_names)
+            if output_column is not None:
+                keys.append((True, output_column))
+            else:
+                keys.append((False, self._evaluator.compile(item.expr, layout)))
 
         def key_values(index: int) -> List[Value]:
-            row = rows[index]
-            scope, grouped_evaluator = scopes[index]
-            evaluator = grouped_evaluator or self._evaluator
-            values = []
-            for item in order_by:
-                values.append(
-                    self._order_key_value(
-                        item.expr, row, lowered_names, scope, evaluator
-                    )
-                )
-            return values
+            return [
+                fn(rows[index] if from_output else source_rows[index])
+                for from_output, fn in keys
+            ]
 
         return _sorted_by_keys(rows, key_values, order_by)
 
     def _order_output_rows(
         self,
-        rows: List[Tuple[Value, ...]],
+        rows: List[Row],
         names: List[str],
         order_by: List[ast.OrderItem],
-    ) -> List[Tuple[Value, ...]]:
+    ) -> List[Row]:
         """Order rows of a set operation: only names/positions available."""
         lowered_names = [name.lower() for name in names]
+        keys = [
+            _output_column(item.expr, lowered_names) or _not_an_output_column
+            for item in order_by
+        ]
+        return _sorted_by_keys(
+            rows, lambda index: [fn(rows[index]) for fn in keys], order_by
+        )
 
-        def key_values(index: int) -> List[Value]:
-            row = rows[index]
-            values = []
-            for item in order_by:
-                value = self._positional_or_named(item.expr, row, lowered_names)
-                if value is _MISSING:
-                    raise ExecutionError(
-                        "ORDER BY on a set operation must use output column "
-                        "names or positions"
-                    )
-                values.append(value)
-            return values
 
-        return _sorted_by_keys(rows, key_values, order_by)
+def _output_column(expr: ast.Expr, lowered_names: List[str]) -> Optional[RowFn]:
+    """Reader for an ORDER BY item naming an output column, else None."""
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+        position = expr.value
 
-    def _order_key_value(
-        self,
-        expr: ast.Expr,
-        row: Tuple[Value, ...],
-        lowered_names: List[str],
-        scope: Scope,
-        evaluator: Evaluator,
-    ) -> Value:
-        value = self._positional_or_named(expr, row, lowered_names)
-        if value is not _MISSING:
-            return value
-        return evaluator.evaluate(expr, scope)
-
-    def _positional_or_named(
-        self, expr: ast.Expr, row: Tuple[Value, ...], lowered_names: List[str]
-    ):
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            position = expr.value
+        def by_position(row: Row) -> Value:
             if not 1 <= position <= len(row):
-                raise ExecutionError(
-                    f"ORDER BY position {position} is out of range"
-                )
+                raise ExecutionError(f"ORDER BY position {position} is out of range")
             return row[position - 1]
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            lowered = expr.name.lower()
-            if lowered in lowered_names:
-                return row[lowered_names.index(lowered)]
-        return _MISSING
+
+        return by_position
+    if isinstance(expr, ast.ColumnRef) and expr.table is None:
+        lowered = expr.name.lower()
+        if lowered in lowered_names:
+            return itemgetter(lowered_names.index(lowered))
+    return None
 
 
-_MISSING = object()
+def _not_an_output_column(row: Row) -> Value:
+    raise ExecutionError(
+        "ORDER BY on a set operation must use output column names or positions"
+    )
+
+
+# -- joins ---------------------------------------------------------------------
+
+
+def _join_rows(
+    left_rows: Sequence[Row],
+    candidates: Callable[[Row], Iterable[Row]],
+    condition: RowFn,
+    null_right: Optional[Row],
+) -> List[Row]:
+    """The join loop: left-major, right-input order within a left row.
+
+    ``candidates(lrow)`` lists the right rows worth testing, in right-input
+    order; with every right row a candidate this is the nested loop.
+    ``null_right`` (LEFT JOIN) extends a left row nothing matched.
+    """
+    combined: List[Row] = []
+    for lrow in left_rows:
+        matched = False
+        for rrow in candidates(lrow):
+            candidate = lrow + rrow
+            if is_true(condition(candidate)):
+                combined.append(candidate)
+                matched = True
+        if null_right is not None and not matched:
+            combined.append(lrow + null_right)
+    return combined
+
+
+def _join_candidates(
+    condition: Optional[ast.Expr],
+    layout: RowLayout,
+    left: FromResult,
+    right: FromResult,
+) -> Callable[[Row], Iterable[Row]]:
+    """Hash probe where it is provably the nested loop's answer, else all rows."""
+    equi = _equi_join_slots(condition, layout, left.layout.width)
+    if equi is not None:
+        left_slot, right_slot, residual = equi
+        buckets = _equi_join_buckets(
+            left.rows, right.rows, left_slot, right_slot, residual
+        )
+        if buckets is not None:
+            return lambda lrow: buckets.get(lrow[left_slot], ())
+    right_rows = right.rows
+    return lambda lrow: right_rows
+
+
+def _equi_join_slots(
+    condition: Optional[ast.Expr], layout: RowLayout, left_width: int
+) -> Optional[Tuple[int, int, bool]]:
+    """``(left slot, right slot, further conjuncts?)`` of an equi-join.
+
+    The condition's leftmost conjunct must be ``ColumnRef = ColumnRef``
+    with one side resolving to exactly one column of the left input and
+    the other to exactly one of the right: for a pair whose keys differ
+    that conjunct is FALSE and ``AND`` evaluates nothing after it, so
+    skipping the pair skips nothing observable.  The right slot is
+    relative to the right row.
+    """
+    first = condition
+    while isinstance(first, ast.BinaryOp) and first.op == "AND":
+        first = first.left
+    if not (
+        isinstance(first, ast.BinaryOp)
+        and first.op == "="
+        and isinstance(first.left, ast.ColumnRef)
+        and isinstance(first.right, ast.ColumnRef)
+    ):
+        return None
+    low = layout.slot(first.left.table, first.left.name)
+    high = layout.slot(first.right.table, first.right.name)
+    if low is None or high is None:
+        return None  # ambiguous, unknown or correlated: the loop decides
+    if low > high:
+        low, high = high, low
+    if not low < left_width <= high:
+        return None
+    return low, high - left_width, first is not condition
+
+
+#: ``compare_values`` compares within a class and raises across classes.
+_KEY_CLASSES = {bool: "bool", int: "number", float: "number", str: "text"}
+
+
+def _equi_join_buckets(
+    left_rows: Sequence[Row],
+    right_rows: Sequence[Row],
+    left_slot: int,
+    right_slot: int,
+    residual: bool,
+) -> Optional[Dict[Value, List[Row]]]:
+    """Right rows by join key, or None where only the nested loop is faithful.
+
+    A probe silently skips what the nested loop would not: keys of two
+    comparison classes (it raises ``cannot compare str with int``), NaN
+    (``compare_values`` orders it equal to every number), and a NULL key
+    when further conjuncts exist (3VL ``AND`` still evaluates them, and
+    they may raise).  NULL keys otherwise never match and are left out.
+    """
+    classes = set()
+    buckets: Dict[Value, List[Row]] = {}
+    for rows, slot, bucketed in (
+        (right_rows, right_slot, True),
+        (left_rows, left_slot, False),
+    ):
+        for row in rows:
+            key = row[slot]
+            if key is None:
+                if residual:
+                    return None
+                continue
+            if key != key:
+                return None
+            classes.add(_KEY_CLASSES.get(type(key)))
+            if bucketed:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                bucket.append(row)
+    if len(classes) > 1 or None in classes:
+        return None
+    return buckets
 
 
 def _sorted_by_keys(rows, key_values, order_by: List[ast.OrderItem]):

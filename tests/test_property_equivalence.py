@@ -127,6 +127,32 @@ def test_join_equivalence_random_thresholds(threshold, use_lookup):
     assert sorted(engine.execute(sql).rows) == truth
 
 
+@st.composite
+def equi_join_queries(draw):
+    """A two-table equi-join: the reference executor's hash-probe path."""
+    kind = draw(st.sampled_from(["JOIN", "LEFT JOIN"]))
+    equality = draw(
+        st.sampled_from(["k.name = c.country", "c.country = k.name", "name = country"])
+    )
+    residual = ""
+    if draw(st.booleans()):
+        residual = f" AND c.city_pop > {draw(st.integers(min_value=0, max_value=15000))}"
+    where = f" WHERE {draw(country_predicates())}" if draw(st.booleans()) else ""
+    return (
+        "SELECT k.name, k.continent, c.city, c.city_pop "
+        f"FROM countries k {kind} cities c ON {equality}{residual}{where}"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(sql=equi_join_queries(), use_lookup=st.booleans())
+def test_equi_join_equivalence_random_shapes(sql, use_lookup):
+    truth = sorted(_ORACLE.execute(sql).rows, key=repr)
+    config = EngineConfig().with_(enable_lookup_join=use_lookup)
+    engine = make_engine(_MODEL, _WORLD, config)
+    assert sorted(engine.execute(sql).rows, key=repr) == truth
+
+
 @settings(max_examples=20, deadline=None)
 @given(keys=st.lists(
     st.sampled_from([row[0] for row in COUNTRY_ROWS] + ["Atlantis", "Mu"]),
