@@ -2,24 +2,32 @@
 
 ``ModelClient`` is the runtime client that turns plan steps into model
 traffic, routed through the concurrent scheduler in
-:mod:`repro.runtime.dispatcher`:
+:mod:`repro.runtime.dispatcher`.  Every prompt it pays for comes from
+one of two places:
 
-* :meth:`run_scan` — paginated enumeration with truncation recovery, a
-  runaway guard, and speculative page prefetch;
-* :meth:`run_lookup` — batched lookups with optional self-consistency
-  voting; all ``batches × votes`` calls dispatch as one concurrent wave;
-* :meth:`run_judge` — batched predicate judgements with voting, fanned
-  out the same way.
+* **the enumeration page chain** (:meth:`ModelClient._page_chain`) —
+  one generator that builds a page prompt, fetches it (optionally from
+  a speculative prefetch), parses, validates, meters the page, and
+  stops on natural end, a cursor bound, truncation, or the runaway
+  guard.  A plain scan drives one chain over ``[cursor, ∞)`` behind
+  prefix replay and storage write-back; a sharded scan and an adaptive
+  re-plan round each drive one bounded chain per shard, fanned out in
+  ``max_in_flight``-wide groups;
+* **the voted batch wave** (:meth:`ModelClient._voted_wave`) — key
+  batches, each asked ``votes`` times, dispatched as one concurrent
+  wave and merged by self-consistency voting.  A materialized lookup
+  and the judge send all their batches in one wave; a lookup stream
+  sends one batch per wave so an early exit skips the rest.
 
 Retrieval is produced through the streaming row pipeline
 (:mod:`repro.core.streams`): :meth:`open_scan_stream`,
 :meth:`open_sharded_scan_stream`, and :meth:`open_lookup_stream` yield
 validated rows page by page, and the ``run_*`` operators are simply
-consumers that drain the stream.  A consumer that closes a stream
-early stops the page fetch loop; the scan stream then writes the
-fetched prefix back as a *partial-coverage* fragment (and a later
-same-shape stream resumes at its cursor), so early exit saves calls
-without ever poisoning the storage tier.
+consumers that drain them.  A consumer that closes a stream early
+stops the page chain; the scan stream then writes the fetched prefix
+back as a *partial-coverage* fragment (and a later same-shape stream
+resumes at its cursor), so early exit saves calls without ever
+poisoning the storage tier.
 
 All calls flow through one wrapped model (cache, then meter), so cost
 accounting and caching behave identically across operators — and
@@ -34,6 +42,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import EngineConfig
@@ -65,7 +75,7 @@ from repro.runtime.dispatcher import CompletionRequest, Dispatcher
 from repro.runtime.latency import LatencyLedger
 from repro.runtime.parallel import run_parallel
 from repro.runtime.prefetch import ScanPrefetcher
-from repro.runtime.retry import RETRY_NONCE, RetryPolicy
+from repro.runtime.retry import RetryPolicy
 from repro.runtime.scheduler import (
     CancellationToken,
     CrossQueryDedup,
@@ -73,10 +83,6 @@ from repro.runtime.scheduler import (
 )
 from repro.storage.fragments import ScanFragment
 from repro.storage.tier import StorageTier
-
-#: Kept as a module name for back-compat; the policy owns the value now.
-_RETRY_NONCE = RETRY_NONCE
-
 
 class ModelClient:
     """Executes retrieval steps against a language model."""
@@ -272,12 +278,6 @@ class ModelClient:
             return max(self._config.temperature, 0.7)
         return self._config.temperature
 
-    def _complete_with_retry(self, prompt: str, sample_index: int, parse):
-        """Call the model, parse; retry on refusal/unusable output."""
-        return self._dispatcher.run_one(
-            CompletionRequest(prompt=prompt, sample_index=sample_index, parse=parse)
-        )
-
     # ------------------------------------------------------------------
     # Scan
     # ------------------------------------------------------------------
@@ -364,48 +364,32 @@ class ModelClient:
     ):
         """Generator behind a scan stream: resume, fetch, write back.
 
-        Yields validated row pages.  Cleanup runs exactly once whether
-        the consumer drains or closes early (``GeneratorExit``): the
-        prefetcher is discarded, skipped pages are accounted on early
-        exit, and — unless the chain failed (truncation/guard) — the
-        fetched rows are written back as a fragment whose ``complete``
-        flag reflects whether the enumeration actually ended.
+        Yields the resumed prefix, then the page chain's validated
+        pages from the prefix's cursor on.  Cleanup runs exactly once
+        whether the consumer drains or closes early (``GeneratorExit``):
+        the chain is closed (discarding its prefetches), skipped pages
+        are accounted on early exit, and — unless the chain failed
+        (truncation/guard) — the emitted rows are written back as a
+        fragment whose ``complete`` flag reflects whether the
+        enumeration actually ended.
         """
         page_size = self._config.page_size
         target = step.limit_hint
-        dtypes = [step.schema.column(name).dtype for name in step.columns]
-        est_pages = max(1, -(-int(step.est_rows) // page_size))
-        max_pages = est_pages * self._config.scan_guard_factor + 4
         prefix_pages = -(-len(prefix) // page_size) if prefix else 0
-
-        def prompt_for(after_index: int) -> str:
-            return build_enumerate_prompt(
-                EnumerateRequest(
-                    schema=step.schema,
-                    columns=step.columns,
-                    condition_sql=step.pushdown_sql,
-                    order=step.order,
-                    after_index=after_index,
-                    max_rows=page_size,
-                )
-            )
-
-        def parse_page(completion: Completion):
-            return parse_enumerate(completion, dtypes)
-
         prefetch_window = 0
         if self._config.max_in_flight > 1 and self._config.scan_prefetch_pages > 0:
             prefetch_window = min(
                 self._config.scan_prefetch_pages, self._config.max_in_flight - 1
             )
-        prefetcher = ScanPrefetcher(self._dispatcher) if prefetch_window else None
+        chain = _ChainProgress(len(prefix))
+        pages = self._page_chain(
+            chain, step, virtual,
+            end=None, limit=target, est_rows=step.est_rows,
+            prefetch_window=prefetch_window, label=f"scan {step.table_name}",
+        )
 
-        parsed_total = len(prefix)  # enumeration cursor (rows received)
         emitted = 0
         collected: List[List[Value]] = []  # emitted rows, for writeback
-        pages_fetched = 0
-        ended_naturally = False
-        storable = True
         finished = False
         interrupted = False
         try:
@@ -419,117 +403,159 @@ class ModelClient:
                 if target is not None and emitted >= target:
                     finished = True
                     return
-            while True:
-                after_index = parsed_total
-                prompt = prompt_for(after_index)
-                if prefetcher is not None:
-                    # Guess the next pages parse cleanly and start them
-                    # now, overlapping the page we are about to read.
-                    guesses = [
-                        prompt_for(after_index + offset * page_size)
-                        for offset in range(1, prefetch_window + 1)
-                        if pages_fetched + offset < max_pages
-                        and (
-                            target is None
-                            or after_index + offset * page_size < target
-                        )
-                    ]
-                    prefetcher.prime(guesses)
-                page = self._fetch_page(prompt, parse_page, prefetcher)
-                pages_fetched += 1
-                self._meter.record_pages(fetched=1)
-                if page.malformed_lines:
-                    self._warn(
-                        f"scan {step.table_name}: {page.malformed_lines} "
-                        f"malformed line(s) skipped"
-                    )
-                got_rows = len(page.rows) > 0
-                parsed_total += len(page.rows)
-                if page.complete and not page.has_more:
-                    ended_naturally = True
-                to_validate = page.rows
-                if target is not None and emitted + len(to_validate) > target:
-                    to_validate = to_validate[: target - emitted]
-                validated = [
-                    self._validator.validate_row(row, virtual, step.columns)
-                    for row in to_validate
-                ]
-                collected.extend(validated)
-                emitted += len(validated)
-                if validated:
-                    yield validated
-                if target is not None and parsed_total >= target:
-                    break
-                if ended_naturally:
-                    break
-                if not page.complete and not got_rows:
-                    # Truncated before any row: the page size does not fit
-                    # the output budget; give up rather than loop.
-                    self._warn(
-                        f"scan {step.table_name}: page truncated before any row"
-                    )
-                    storable = False
-                    break
-                if pages_fetched >= max_pages:
-                    self._warn(
-                        f"scan {step.table_name}: aborted after "
-                        f"{pages_fetched} pages (guard limit)"
-                    )
-                    storable = False
-                    break
+            for page in pages:
+                collected.extend(page)
+                yield page
             finished = True
         except GeneratorExit:
             interrupted = True
         finally:
-            if prefetcher is not None:
-                prefetcher.discard()
-            if self._registry is not None and pages_fetched > 0:
-                self._registry.histogram(
-                    obs_metrics.PAGES_PER_SCAN
-                ).observe(pages_fetched)
-            if self._stats is not None and ended_naturally and target is None:
-                # The enumeration ran to the model's natural end, so
-                # the cursor count is ground truth — a full scan fixes
-                # the table's cardinality, a pushed-down scan fixes the
-                # predicate's selectivity (only once the denominator,
-                # the table's true row count, is itself known).
-                if step.pushdown_sql is None:
-                    self._stats.record_table_rows(
-                        step.table_name, parsed_total
-                    )
-                elif step.predicate_fingerprint is not None:
-                    known = self._stats.observed_rows(step.table_name)
-                    if known is not None and known > 0:
-                        self._stats.record_selectivity(
-                            step.table_name,
-                            step.predicate_fingerprint,
-                            known,
-                            parsed_total,
-                        )
+            pages.close()
+            self._observe_scan_pages(chain.pages)
+            if chain.ended_naturally and target is None:
+                self._record_natural_end(step, chain.cursor)
             if interrupted:
                 self._meter.record_pages(
-                    skipped=max(0, est_pages - prefix_pages - pages_fetched)
+                    skipped=max(
+                        0,
+                        self._est_pages(step.est_rows) - prefix_pages - chain.pages,
+                    )
                 )
-            if (
-                (finished or interrupted)
-                and self._storage is not None
-                and storable
-                and pages_fetched > 0
-            ):
-                complete = ended_naturally and (
-                    target is None or parsed_total <= target
+            if (finished or interrupted) and chain.storable and chain.pages > 0:
+                self._store_scan_fragment(
+                    step,
+                    collected,
+                    complete=chain.ended_naturally
+                    and (target is None or chain.cursor <= target),
+                    source_calls=prefix_calls + chain.pages,
                 )
-                self._storage.store_scan_fragment(
-                    self._storage_scope,
-                    step.table_name,
-                    step.pushdown_sql,
-                    step.order,
-                    ScanFragment(
-                        columns=tuple(step.columns),
-                        rows=tuple(tuple(row) for row in collected),
-                        complete=complete,
-                        source_calls=prefix_calls + pages_fetched,
-                    ),
+
+    def _page_chain(
+        self,
+        chain: "_ChainProgress",
+        scan: ScanStep,
+        virtual: VirtualTable,
+        end: Optional[int],
+        limit: Optional[int],
+        est_rows: float,
+        prefetch_window: int,
+        label: str,
+        trace_tags: Tuple[Tuple[str, object], ...] = (),
+    ):
+        """The enumeration page chain: validated row pages from a cursor.
+
+        Pages the enumeration from ``chain.cursor`` and yields each
+        page's validated rows, keeping ``chain`` (pages paid, cursor,
+        natural end, storability) current for the caller.  The cursor
+        range is bounded by at most one of:
+
+        * ``end`` — a bound the chain owns: the last prompt asks only
+          ``end - cursor`` rows, so nothing past ``end`` is read;
+        * ``limit`` — a stop hint: every prompt asks a full page and
+          rows past ``limit`` are cut.
+
+        The runaway guard allows ``guard_factor`` times the pages
+        ``est_rows`` implies, plus four.  ``prefetch_window`` pages
+        ahead are speculatively started (each guessing the current
+        page parses cleanly); ``label`` prefixes the malformed-line,
+        truncation, and guard warnings.  The chain never touches
+        storage or statistics — those belong to the calling operator.
+        """
+        page_size = self._config.page_size
+        dtypes = [scan.schema.column(name).dtype for name in scan.columns]
+        max_pages = self._est_pages(est_rows) * self._config.scan_guard_factor + 4
+        stop = end if end is not None else limit
+
+        def prompt_for(cursor: int) -> str:
+            return build_enumerate_prompt(
+                EnumerateRequest(
+                    schema=scan.schema,
+                    columns=scan.columns,
+                    condition_sql=scan.pushdown_sql,
+                    order=scan.order,
+                    after_index=cursor,
+                    max_rows=page_size if end is None else min(page_size, end - cursor),
+                )
+            )
+
+        def parse_page(completion: Completion):
+            return parse_enumerate(completion, dtypes)
+
+        prefetcher = ScanPrefetcher(self._dispatcher) if prefetch_window else None
+        try:
+            while True:
+                cursor = chain.cursor
+                prompt = prompt_for(cursor)
+                if prefetcher is not None:
+                    # Guess the next pages parse cleanly and start them
+                    # now, overlapping the page we are about to read.
+                    prefetcher.prime([
+                        prompt_for(cursor + offset * page_size)
+                        for offset in range(1, prefetch_window + 1)
+                        if chain.pages + offset < max_pages
+                        and (stop is None or cursor + offset * page_size < stop)
+                    ])
+                page = self._fetch_page(prompt, parse_page, prefetcher, trace_tags)
+                chain.pages += 1
+                self._meter.record_pages(fetched=1)
+                if page.malformed_lines:
+                    self._warn(
+                        f"{label}: {page.malformed_lines} malformed line(s) skipped"
+                    )
+                chain.cursor += len(page.rows)
+                if page.complete and not page.has_more:
+                    chain.ended_naturally = True
+                rows = page.rows if stop is None else page.rows[: stop - cursor]
+                validated = [
+                    self._validator.validate_row(row, virtual, scan.columns)
+                    for row in rows
+                ]
+                if validated:
+                    yield validated
+                if chain.ended_naturally or (stop is not None and chain.cursor >= stop):
+                    return
+                if not page.complete and not page.rows:
+                    # Truncated before any row: the page size does not fit
+                    # the output budget; give up rather than loop.
+                    self._warn(f"{label}: page truncated before any row")
+                    chain.storable = False
+                    return
+                if chain.pages >= max_pages:
+                    self._warn(
+                        f"{label}: aborted after {chain.pages} pages (guard limit)"
+                    )
+                    chain.storable = False
+                    return
+        finally:
+            if prefetcher is not None:
+                prefetcher.discard()
+
+    def _est_pages(self, rows: float) -> int:
+        """Pages an enumeration of ``rows`` rows is expected to take."""
+        return max(1, -(-int(rows) // self._config.page_size))
+
+    def _observe_scan_pages(self, pages: int) -> None:
+        """Feed one scan operator call's page count to the histogram."""
+        if self._registry is not None and pages > 0:
+            self._registry.histogram(obs_metrics.PAGES_PER_SCAN).observe(pages)
+
+    def _record_natural_end(self, scan: ScanStep, rows: int) -> None:
+        """Record an enumeration that ran to the model's natural end.
+
+        The cursor count is then ground truth: a full scan fixes the
+        table's cardinality, a pushed-down scan fixes the predicate's
+        selectivity (only once the denominator, the table's true row
+        count, is itself known).
+        """
+        if self._stats is None:
+            return
+        if scan.pushdown_sql is None:
+            self._stats.record_table_rows(scan.table_name, rows)
+        elif scan.predicate_fingerprint is not None:
+            known = self._stats.observed_rows(scan.table_name)
+            if known is not None and known > 0:
+                self._stats.record_selectivity(
+                    scan.table_name, scan.predicate_fingerprint, known, rows
                 )
 
     def _scan_from_storage(
@@ -665,38 +691,39 @@ class ModelClient:
             )
         return build_local_table(step.binding, step.schema, step.columns, out_rows)
 
-    def _fetch_page(self, prompt: str, parse, prefetcher: Optional[ScanPrefetcher]):
+    def _fetch_page(
+        self,
+        prompt: str,
+        parse,
+        prefetcher: Optional[ScanPrefetcher],
+        trace_tags: Tuple[Tuple[str, object], ...],
+    ):
         """One page, preferring an exact-match speculative completion."""
-        if prefetcher is not None:
-            speculation = prefetcher.take(prompt)
-            if speculation is not None:
-                completion, owed_ms = self._dispatcher.consume_speculation(
-                    speculation
-                )
-                self._ledger.add(owed_ms)
-                try:
-                    return parse(completion)
-                except LLMProtocolError as exc:
-                    if self._retry.max_attempts <= 1:
-                        raise ExecutionError(
-                            f"model output unusable after "
-                            f"{self._retry.max_attempts} attempts: {exc}"
-                        )
-                    # The speculative call was attempt 0; hand the rest of
-                    # the retry budget to the dispatcher.
-                    return self._dispatcher.run_one(
-                        CompletionRequest(
-                            prompt=prompt,
-                            sample_index=0,
-                            parse=parse,
-                            first_attempt=1,
-                            prior_error=exc,
-                            kind="scan-page",
-                        )
+        first_attempt, prior_error = 0, None
+        speculation = prefetcher.take(prompt) if prefetcher is not None else None
+        if speculation is not None:
+            completion, owed_ms = self._dispatcher.consume_speculation(speculation)
+            self._ledger.add(owed_ms)
+            try:
+                return parse(completion)
+            except LLMProtocolError as exc:
+                if self._retry.max_attempts <= 1:
+                    raise ExecutionError(
+                        f"model output unusable after "
+                        f"{self._retry.max_attempts} attempts: {exc}"
                     )
+                # The speculative call was attempt 0; hand the rest of
+                # the retry budget to the dispatcher.
+                first_attempt, prior_error = 1, exc
         return self._dispatcher.run_one(
             CompletionRequest(
-                prompt=prompt, sample_index=0, parse=parse, kind="scan-page"
+                prompt=prompt,
+                sample_index=0,
+                parse=parse,
+                first_attempt=first_attempt,
+                prior_error=prior_error,
+                kind="scan-page",
+                trace_tags=trace_tags,
             )
         )
 
@@ -791,36 +818,25 @@ class ModelClient:
     ):
         scan = step.scan
         shard_count = len(step.shards)
-        # Chains may run on fresh worker threads with no ambient span
-        # stack; capture the step span here and re-bind it per chain so
-        # shard spans keep their place in the tree.
-        parent = self._tracer.current_parent()
-        thunks = [
-            (lambda shard=shard: self._run_shard_chain(
-                scan, shard, shard_count, virtual, parent
-            ))
-            for shard in step.shards
-        ]
+
+        def run_shard(shard: ShardSpec) -> "_ShardOutcome":
+            served = self._shard_from_storage(scan, shard, shard_count)
+            if served is not None:
+                return served
+            return self._run_shard_chain(scan, shard, virtual)
+
         completed: List[_ShardOutcome] = (
             outcomes_sink if outcomes_sink is not None else []
         )
         finished = False
         interrupted = False
         try:
-            # Chains beyond the pool width cannot actually overlap;
-            # batching keeps the wall-clock accounting honest.
-            width = max(1, self._config.max_in_flight)
-            for begin in range(0, len(thunks), width):
-                group = run_parallel(self._ledger, thunks[begin : begin + width])
+            for group in self._fan_out(step.shards, run_shard):
                 # The whole group already ran (and was paid for) before
                 # the first yield can hand control away: record every
-                # outcome and its warnings now, so a close() mid-group
-                # still persists and accounts the finished chains.
-                for outcome in group:
-                    # Re-emit in shard order so warnings never depend on
-                    # thread timing.
-                    self.emit_warnings(outcome.warnings)
-                    completed.append(outcome)
+                # outcome now, so a close() mid-group still persists
+                # and accounts the finished chains.
+                completed.extend(group)
                 for outcome in group:
                     if outcome.rows:
                         # Fresh per-chain row lists: safe to hand out.
@@ -829,40 +845,25 @@ class ModelClient:
         except GeneratorExit:
             interrupted = True
         finally:
+            fetched = sum(o.pages for o in completed)
+            self._observe_scan_pages(fetched)
             if interrupted:
-                est_pages = max(
-                    1, -(-int(scan.est_rows) // self._config.page_size)
-                )
-                fetched = sum(o.pages for o in completed)
                 self._meter.record_pages(
-                    skipped=max(0, est_pages - fetched)
+                    skipped=max(0, self._est_pages(scan.est_rows) - fetched)
                 )
-            if (
-                self._stats is not None
-                and finished
-                and len(completed) == len(step.shards)
-                and all(o.storable for o in completed)
-            ):
-                # All chains landed: the shard-order concatenation is
-                # the complete enumeration (the open-ended final shard
-                # ran to the model's natural end), so the union count
-                # is as authoritative as a serial full scan's.
-                total = sum(len(o.rows) for o in completed)
-                if scan.pushdown_sql is None:
-                    self._stats.record_table_rows(scan.table_name, total)
-                elif scan.predicate_fingerprint is not None:
-                    known = self._stats.observed_rows(scan.table_name)
-                    if known is not None and known > 0:
-                        self._stats.record_selectivity(
-                            scan.table_name,
-                            scan.predicate_fingerprint,
-                            known,
-                            total,
-                        )
+            # All chains landed: the shard-order concatenation is the
+            # complete enumeration (the open-ended final shard ran to
+            # the model's natural end), as authoritative as a serial
+            # full scan's.
+            whole = len(completed) == shard_count and all(
+                o.storable for o in completed
+            )
+            if finished and whole:
+                self._record_natural_end(
+                    scan, sum(len(o.rows) for o in completed)
+                )
             if (finished or interrupted) and self._storage is not None:
-                if len(completed) == len(step.shards) and all(
-                    o.storable for o in completed
-                ):
+                if whole:
                     # Coverage union: the concatenation is the complete
                     # enumeration, stored under the whole-scan key the
                     # planner consults — future whole-table scans route
@@ -870,18 +871,11 @@ class ModelClient:
                     # duplicate these rows in the byte-budgeted store
                     # (the union is always consulted first), so they
                     # are not written.
-                    union = [row for o in completed for row in o.rows]
-                    self._storage.store_scan_fragment(
-                        self._storage_scope,
-                        scan.table_name,
-                        scan.pushdown_sql,
-                        None,
-                        ScanFragment(
-                            columns=tuple(scan.columns),
-                            rows=tuple(tuple(row) for row in union),
-                            complete=True,
-                            source_calls=sum(o.cost for o in completed),
-                        ),
+                    self._store_scan_fragment(
+                        scan,
+                        [row for o in completed for row in o.rows],
+                        complete=True,
+                        source_calls=sum(o.cost for o in completed),
                     )
                 else:
                     # No union: preserve the shards that did finish, so
@@ -895,7 +889,7 @@ class ModelClient:
                             scan.table_name,
                             scan.pushdown_sql,
                             shard.index,
-                            len(step.shards),
+                            shard_count,
                             shard.start,
                             ScanFragment(
                                 columns=tuple(scan.columns),
@@ -905,143 +899,97 @@ class ModelClient:
                             ),
                         )
 
-    def _run_shard_chain(
-        self,
-        scan: ScanStep,
-        shard: ShardSpec,
-        shard_count: int,
-        virtual: VirtualTable,
-        trace_parent: Optional[int] = None,
-    ) -> "_ShardOutcome":
-        """One shard's page chain, with its warnings captured in order."""
-        with self._tracer.bind(trace_parent):
-            with self._tracer.span("shard", shard=shard.index) as span:
-                with self.warning_scope() as captured:
-                    outcome = self._fetch_shard(
-                        scan, shard, shard_count, virtual
-                    )
-                span.set_tag("rows", len(outcome.rows))
-                span.set_tag("pages", outcome.pages)
-        outcome.warnings = captured
-        return outcome
+    def _fan_out(self, shards: Sequence[ShardSpec], run_shard):
+        """Run ``run_shard`` per shard in ``max_in_flight``-wide groups.
 
-    def _fetch_shard(
-        self,
-        scan: ScanStep,
-        shard: ShardSpec,
-        shard_count: int,
-        virtual: VirtualTable,
-    ) -> "_ShardOutcome":
+        Yields each group's outcomes in shard order once the whole
+        group has landed, after re-emitting its captured warnings in
+        shard order (so warnings never depend on thread timing).
+        Chains beyond the pool width cannot actually overlap; grouping
+        keeps the wall-clock accounting honest.
+        """
+        # Chains may run on fresh worker threads with no ambient span
+        # stack; capture the step span here and re-bind it per chain so
+        # shard spans keep their place in the tree.
+        parent = self._tracer.current_parent()
+
+        def run_scoped(shard: ShardSpec) -> "_ShardOutcome":
+            with self._tracer.bind(parent):
+                with self._tracer.span("shard", shard=shard.index) as span:
+                    with self.warning_scope() as captured:
+                        outcome = run_shard(shard)
+                    span.set_tag("rows", len(outcome.rows))
+                    span.set_tag("pages", outcome.pages)
+            outcome.warnings = captured
+            return outcome
+
+        width = max(1, self._config.max_in_flight)
+        for begin in range(0, len(shards), width):
+            group = run_parallel(
+                self._ledger,
+                [partial(run_scoped, shard) for shard in shards[begin : begin + width]],
+            )
+            for outcome in group:
+                self.emit_warnings(outcome.warnings)
+            yield group
+
+    def _shard_from_storage(
+        self, scan: ScanStep, shard: ShardSpec, shard_count: int
+    ) -> Optional["_ShardOutcome"]:
+        """Serve one static shard from its shard fragment, or None on miss."""
         storage = self._storage
-        if storage is not None:
-            with self._tracer.span(
-                "storage", kind="shard", table=scan.table_name,
-                shard=shard.index,
-            ) as probe:
-                fragment = storage.shard_fragment(
-                    self._storage_scope,
-                    scan.table_name,
-                    scan.pushdown_sql,
-                    shard.index,
-                    shard_count,
-                    shard.start,
-                )
-                served = (
-                    fragment is not None
-                    and fragment.complete
-                    and fragment.covers_columns(scan.columns)
-                )
-                probe.set_tag("outcome", "hit" if served else "miss")
-            if served:
-                assert fragment is not None
-                self._record_fragment_hits(1, calls_saved=fragment.source_calls)
-                return _ShardOutcome(
-                    rows=fragment.project(scan.columns),
-                    pages=0,
-                    cost=fragment.source_calls,
-                    storable=True,
-                )
+        if storage is None:
+            return None
+        with self._tracer.span(
+            "storage", kind="shard", table=scan.table_name, shard=shard.index
+        ) as probe:
+            fragment = storage.shard_fragment(
+                self._storage_scope,
+                scan.table_name,
+                scan.pushdown_sql,
+                shard.index,
+                shard_count,
+                shard.start,
+            )
+            served = (
+                fragment is not None
+                and fragment.complete
+                and fragment.covers_columns(scan.columns)
+            )
+            probe.set_tag("outcome", "hit" if served else "miss")
+        if not served:
             storage.record_fragment_misses(1)
-
-        dtypes = [scan.schema.column(name).dtype for name in scan.columns]
-
-        def parse_page(completion: Completion):
-            return parse_enumerate(completion, dtypes)
-
-        page_size = self._config.page_size
-        target = shard.row_target
-        est_share = (
-            target if target is not None else max(1, int(scan.est_rows) - shard.start)
-        )
-        est_pages = max(1, -(-est_share // page_size))
-        max_pages = est_pages * self._config.scan_guard_factor + 4
-
-        parsed: List[List[Value]] = []
-        pages = 0
-        storable = True
-        while True:
-            after_index = shard.start + len(parsed)
-            want = (
-                page_size
-                if target is None
-                else min(page_size, target - len(parsed))
-            )
-            prompt = build_enumerate_prompt(
-                EnumerateRequest(
-                    schema=scan.schema,
-                    columns=scan.columns,
-                    condition_sql=scan.pushdown_sql,
-                    order=None,
-                    after_index=after_index,
-                    max_rows=want,
-                )
-            )
-            page = self._dispatcher.run_one(
-                CompletionRequest(
-                    prompt=prompt,
-                    sample_index=0,
-                    parse=parse_page,
-                    kind="scan-page",
-                    trace_tags=(("shard", shard.index),),
-                )
-            )
-            if page.malformed_lines:
-                self._warn(
-                    f"scan {scan.table_name} shard {shard.index}: "
-                    f"{page.malformed_lines} malformed line(s) skipped"
-                )
-            got_rows = len(page.rows) > 0
-            parsed.extend(page.rows)
-            pages += 1
-            self._meter.record_pages(fetched=1)
-            if page.complete and not page.has_more:
-                break  # enumeration exhausted within this shard's range
-            if target is not None and len(parsed) >= target:
-                break  # shard's slice fully fetched
-            if not page.complete and not got_rows:
-                self._warn(
-                    f"scan {scan.table_name} shard {shard.index}: page "
-                    f"truncated before any row"
-                )
-                storable = False
-                break
-            if pages >= max_pages:
-                self._warn(
-                    f"scan {scan.table_name} shard {shard.index}: aborted "
-                    f"after {pages} pages (guard limit)"
-                )
-                storable = False
-                break
-        if target is not None and len(parsed) > target:
-            parsed = parsed[:target]
-        if self._registry is not None and pages > 0:
-            self._registry.histogram(obs_metrics.PAGES_PER_SCAN).observe(pages)
-        validated = [
-            self._validator.validate_row(row, virtual, scan.columns)
-            for row in parsed
-        ]
+            return None
+        assert fragment is not None
+        self._record_fragment_hits(1, calls_saved=fragment.source_calls)
         return _ShardOutcome(
-            rows=validated, pages=pages, cost=pages, storable=storable
+            rows=fragment.project(scan.columns),
+            pages=0,
+            cost=fragment.source_calls,
+            storable=True,
+        )
+
+    def _run_shard_chain(
+        self, scan: ScanStep, shard: ShardSpec, virtual: VirtualTable
+    ) -> "_ShardOutcome":
+        """Drain one shard's bounded page chain into an outcome."""
+        target = shard.row_target
+        chain = _ChainProgress(shard.start)
+        pages = self._page_chain(
+            chain, scan, virtual,
+            end=None if target is None else shard.start + target,
+            limit=None,
+            est_rows=(
+                target if target is not None
+                else max(1, int(scan.est_rows) - shard.start)
+            ),
+            prefetch_window=0,
+            label=f"scan {scan.table_name} shard {shard.index}",
+            trace_tags=(("shard", shard.index),),
+        )
+        rows = [row for page in pages for row in page]
+        return _ShardOutcome(
+            rows=rows, pages=chain.pages, cost=chain.pages, storable=chain.storable
         )
 
     # ------------------------------------------------------------------
@@ -1059,9 +1007,11 @@ class ModelClient:
         The adaptive executor calls this after closing a streamed scan
         whose observed selectivity diverged from the estimate: each
         shard continues the enumeration cursor where the closed stream
-        (plus earlier replan rounds) left off.  Chains reuse the
-        sharded-scan page machinery, and the executor keeps shard
-        starts page-aligned with page-multiple targets, so every
+        (plus earlier replan rounds) left off.  Chains are the same
+        bounded page chains a sharded scan runs (minus its shard
+        fragment probe: a re-plan only ever stores the combined prefix,
+        via :meth:`store_replan_fragment`), and the executor keeps
+        shard starts page-aligned with page-multiple targets, so every
         prompt is byte-identical to one the serial continuation would
         have issued — merged rows, and therefore results, cannot
         differ from the static plan's.
@@ -1074,22 +1024,13 @@ class ModelClient:
         if self._stats is not None:
             self._stats.replans += 1
             self._stats.replan_shards += len(shards)
-        parent = self._tracer.current_parent()
-        shard_count = len(shards)
-        thunks = [
-            (lambda shard=shard: self._run_shard_chain(
-                scan, shard, shard_count, virtual, parent
-            ))
-            for shard in shards
+        run_shard = partial(self._run_shard_chain, scan, virtual=virtual)
+        outcomes = [
+            outcome
+            for group in self._fan_out(shards, run_shard)
+            for outcome in group
         ]
-        outcomes: List[_ShardOutcome] = []
-        width = max(1, self._config.max_in_flight)
-        for begin in range(0, len(thunks), width):
-            outcomes.extend(
-                run_parallel(self._ledger, thunks[begin : begin + width])
-            )
-        for outcome in outcomes:
-            self.emit_warnings(outcome.warnings)
+        self._observe_scan_pages(sum(o.pages for o in outcomes))
         return outcomes
 
     def store_replan_fragment(
@@ -1107,6 +1048,16 @@ class ModelClient:
         storage tier exactly as informed as a serial run that fetched
         this far.
         """
+        self._store_scan_fragment(scan, rows, complete, source_calls)
+
+    def _store_scan_fragment(
+        self,
+        scan: ScanStep,
+        rows: Sequence[Sequence[Value]],
+        complete: bool,
+        source_calls: int,
+    ) -> None:
+        """Write ``rows`` back under the scan's whole-scan fragment key."""
         if self._storage is None:
             return
         self._storage.store_scan_fragment(
@@ -1131,12 +1082,7 @@ class ModelClient:
         scan = step.scan
         rows = partial_agg.merge_partials(spec, partials)
         columns = [
-            Column(
-                name=scan.schema.column(name).name,
-                dtype=scan.schema.column(name).dtype,
-                nullable=True,
-                description=scan.schema.column(name).description,
-            )
+            replace(scan.schema.column(name), nullable=True)
             for name in spec.group_columns
         ]
         for item in spec.items:
@@ -1177,47 +1123,13 @@ class ModelClient:
         are already materialized (or recorded as unknown — negative
         knowledge) are served locally; only the *missing* keys are
         batched into model calls, and their answers are written back.
+        Every batch and every vote sample is independent, so the whole
+        step is one wave: they overlap up to ``max_in_flight``.
         """
-        attr_dtypes = [step.schema.column(name).dtype for name in step.attributes]
         columns = tuple(step.key_columns) + tuple(step.attributes)
-        batch_size = max(1, self._config.lookup_batch_size)
-        votes = max(1, self._config.votes)
-
-        served, fetch_indices = self._lookup_serving(step, keys)
-        fetch_keys = [keys[index] for index in fetch_indices]
-        batches: List[List[Tuple[Value, ...]]] = [
-            list(fetch_keys[start : start + batch_size])
-            for start in range(0, len(fetch_keys), batch_size)
-        ]
-
-        # Every batch and every vote sample is independent: dispatch the
-        # whole step as one wave so they overlap up to max_in_flight.
-        requests: List[CompletionRequest] = []
-        for batch in batches:
-            requests.extend(
-                self._lookup_requests(step, batch, attr_dtypes, votes)
-            )
-        if requests:
-            self._meter.record_pages(fetched=len(requests))
-        answers = self._dispatcher.run_wave(requests)
-
-        answer_by_index: Dict[int, Optional[List[Value]]] = {}
-        for batch_number, batch in enumerate(batches):
-            sampled = answers[batch_number * votes : (batch_number + 1) * votes]
-            merged = consistency.vote_rows(sampled) if votes > 1 else sampled[0]
-            for offset, (key, answer) in enumerate(zip(batch, merged)):
-                index = fetch_indices[batch_number * batch_size + offset]
-                answer_by_index[index] = self._settle_lookup_answer(
-                    step, key, answer, virtual
-                )
-
-        out_rows: List[List[Value]] = []
-        for index, key in enumerate(keys):
-            values = served[index] if index in served else answer_by_index[index]
-            if values is None:
-                continue  # unknown to the model (or recorded as such)
-            out_rows.append(list(key) + values)
-        return build_local_table(step.binding, step.schema, columns, out_rows)
+        pages = self._lookup_pages(step, list(keys), virtual, one_wave=True)
+        rows = [row for page in pages for row in page]
+        return build_local_table(step.binding, step.schema, columns, rows)
 
     def _lookup_serving(
         self, step: LookupStep, keys: Sequence[Tuple[Value, ...]]
@@ -1270,41 +1182,6 @@ class ModelClient:
         if fetch_indices:
             storage.record_fragment_misses(len(fetch_indices))
         return served, fetch_indices
-
-    def _lookup_requests(
-        self,
-        step: LookupStep,
-        batch: List[Tuple[Value, ...]],
-        attr_dtypes: List[DataType],
-        votes: int,
-    ) -> List[CompletionRequest]:
-        """One key batch as ``votes`` independent completion requests."""
-        prompt = build_lookup_prompt(
-            LookupRequest(
-                schema=step.schema,
-                key_columns=tuple(step.key_columns),
-                attributes=tuple(step.attributes),
-                entities=tuple(batch),
-            )
-        )
-        batch_len = len(batch)
-
-        def parse_answer(completion: Completion):
-            if parsing.looks_like_refusal(completion.text):
-                raise LLMProtocolError("refused lookup")
-            return parsing.parse_lookup_completion(
-                completion.text, batch_len, attr_dtypes
-            )
-
-        return [
-            CompletionRequest(
-                prompt=prompt,
-                sample_index=vote,
-                parse=parse_answer,
-                kind="lookup-batch",
-            )
-            for vote in range(votes)
-        ]
 
     def _settle_lookup_answer(
         self,
@@ -1365,17 +1242,34 @@ class ModelClient:
         step: LookupStep,
         keys: List[Tuple[Value, ...]],
         virtual: VirtualTable,
+        one_wave: bool = False,
     ):
+        """Output rows in key order, settled batch wave by batch wave.
+
+        ``one_wave`` dispatches every key batch in a single voted wave
+        (the materializing consumer); otherwise each batch is its own
+        wave, so closing the generator skips the undispatched batches.
+        """
         attr_dtypes = [step.schema.column(name).dtype for name in step.attributes]
         batch_size = max(1, self._config.lookup_batch_size)
         votes = max(1, self._config.votes)
 
         served, fetch_indices = self._lookup_serving(step, keys)
-        fetch_keys = [keys[index] for index in fetch_indices]
-        batches: List[List[Tuple[Value, ...]]] = [
-            list(fetch_keys[start : start + batch_size])
-            for start in range(0, len(fetch_keys), batch_size)
-        ]
+        batches = self._key_batches([keys[index] for index in fetch_indices])
+        width = max(1, len(batches)) if one_wave else 1
+
+        def prompt_for(batch: List[Tuple[Value, ...]]) -> str:
+            return build_lookup_prompt(
+                LookupRequest(
+                    schema=step.schema,
+                    key_columns=tuple(step.key_columns),
+                    attributes=tuple(step.attributes),
+                    entities=tuple(batch),
+                )
+            )
+
+        def parse_text(text: str, batch_len: int):
+            return parsing.parse_lookup_completion(text, batch_len, attr_dtypes)
 
         answer_by_index: Dict[int, Optional[List[Value]]] = {}
         emitted = 0
@@ -1395,27 +1289,27 @@ class ModelClient:
 
         dispatched = 0
         try:
-            for batch_number, batch in enumerate(batches):
-                first_fetch = fetch_indices[batch_number * batch_size]
+            for begin in range(0, len(batches), width):
+                group = batches[begin : begin + width]
+                first_fetch = fetch_indices[begin * batch_size]
                 if first_fetch > emitted:
                     yield rows_until(first_fetch)  # leading served-only run
-                self._meter.record_pages(fetched=votes)
-                sampled = self._dispatcher.run_wave(
-                    self._lookup_requests(step, batch, attr_dtypes, votes)
+                self._meter.record_pages(fetched=len(group) * votes)
+                merged = self._voted_wave(
+                    group, prompt_for, parse_text,
+                    "lookup-batch", "refused lookup", consistency.vote_rows,
                 )
-                dispatched += 1
-                merged = (
-                    consistency.vote_rows(sampled) if votes > 1 else sampled[0]
-                )
-                for offset, (key, answer) in enumerate(zip(batch, merged)):
-                    index = fetch_indices[batch_number * batch_size + offset]
-                    answer_by_index[index] = self._settle_lookup_answer(
-                        step, key, answer, virtual
-                    )
-                next_start = (batch_number + 1) * batch_size
+                dispatched += len(group)
+                position = begin * batch_size
+                for batch, answers in zip(group, merged):
+                    for key, answer in zip(batch, answers):
+                        answer_by_index[fetch_indices[position]] = (
+                            self._settle_lookup_answer(step, key, answer, virtual)
+                        )
+                        position += 1
                 bound = (
-                    fetch_indices[next_start]
-                    if next_start < len(fetch_indices)
+                    fetch_indices[position]
+                    if position < len(fetch_indices)
                     else len(keys)
                 )
                 if bound > emitted:
@@ -1430,6 +1324,47 @@ class ModelClient:
                 skipped=(len(batches) - dispatched) * votes
             )
 
+    def _key_batches(
+        self, keys: Sequence[Tuple[Value, ...]]
+    ) -> List[List[Tuple[Value, ...]]]:
+        """Consecutive ``lookup_batch_size`` slices of ``keys``."""
+        batch_size = max(1, self._config.lookup_batch_size)
+        return [
+            list(keys[start : start + batch_size])
+            for start in range(0, len(keys), batch_size)
+        ]
+
+    def _voted_wave(self, batches, prompt_for, parse_text, kind, refusal, vote):
+        """Ask every key batch ``votes`` times, all in one wave.
+
+        ``prompt_for(batch)`` builds a batch's prompt and
+        ``parse_text(text, batch_len)`` decodes a completion (refusals
+        raise ``refusal`` and are retried).  Returns one answer list
+        per batch: the single sample, or the ``vote`` merge of all.
+        """
+        votes = max(1, self._config.votes)
+        requests: List[CompletionRequest] = []
+        for batch in batches:
+            prompt = prompt_for(batch)
+
+            def parse_answer(completion: Completion, batch_len=len(batch)):
+                if parsing.looks_like_refusal(completion.text):
+                    raise LLMProtocolError(refusal)
+                return parse_text(completion.text, batch_len)
+
+            requests.extend(
+                CompletionRequest(
+                    prompt=prompt, sample_index=sample, parse=parse_answer, kind=kind
+                )
+                for sample in range(votes)
+            )
+        answers = self._dispatcher.run_wave(requests)
+        sampled = [
+            answers[number * votes : (number + 1) * votes]
+            for number in range(len(batches))
+        ]
+        return [vote(samples) if votes > 1 else samples[0] for samples in sampled]
+
     # ------------------------------------------------------------------
     # Judge
     # ------------------------------------------------------------------
@@ -1438,26 +1373,10 @@ class ModelClient:
         self, step: JudgeStep, keys: Sequence[Tuple[Value, ...]]
     ) -> Dict[Tuple, Optional[bool]]:
         """Judge a predicate for each key; returns normalized-key verdicts."""
-        verdicts: Dict[Tuple, Optional[bool]] = {}
-        batch_size = max(1, self._config.lookup_batch_size)
-        votes = max(1, self._config.votes)
+        batches = self._key_batches(keys)
 
-        batches: List[List[Tuple[Value, ...]]] = [
-            list(keys[start : start + batch_size])
-            for start in range(0, len(keys), batch_size)
-        ]
-
-        def make_parse(batch_len: int):
-            def parse_answer(completion: Completion):
-                if parsing.looks_like_refusal(completion.text):
-                    raise LLMProtocolError("refused judgement")
-                return parsing.parse_judge_completion(completion.text, batch_len)
-
-            return parse_answer
-
-        requests: List[CompletionRequest] = []
-        for batch in batches:
-            prompt = build_judge_prompt(
+        def prompt_for(batch: List[Tuple[Value, ...]]) -> str:
+            return build_judge_prompt(
                 JudgeRequest(
                     schema=step.schema,
                     key_columns=tuple(step.key_columns),
@@ -1465,24 +1384,35 @@ class ModelClient:
                     entities=tuple(batch),
                 )
             )
-            parse_answer = make_parse(len(batch))
-            for vote in range(votes):
-                requests.append(
-                    CompletionRequest(
-                        prompt=prompt,
-                        sample_index=vote,
-                        parse=parse_answer,
-                        kind="judge-batch",
-                    )
-                )
-        answers = self._dispatcher.run_wave(requests)
 
-        for batch_number, batch in enumerate(batches):
-            sampled = answers[batch_number * votes : (batch_number + 1) * votes]
-            merged = consistency.vote_verdicts(sampled) if votes > 1 else sampled[0]
-            for key, verdict in zip(batch, merged):
-                verdicts[normalize_key(key)] = verdict
-        return verdicts
+        merged = self._voted_wave(
+            batches, prompt_for, parsing.parse_judge_completion,
+            "judge-batch", "refused judgement", consistency.vote_verdicts,
+        )
+        return {
+            normalize_key(key): verdict
+            for batch, verdicts in zip(batches, merged)
+            for key, verdict in zip(batch, verdicts)
+        }
+
+
+class _ChainProgress:
+    """What a page chain has done so far, kept current as it runs.
+
+    ``cursor`` is the absolute enumeration index of the next row to
+    ask for (rows parsed so far, plus the chain's start); ``pages`` is
+    what the chain paid; ``ended_naturally`` is set once the model
+    signalled the enumeration's end; ``storable`` is cleared when the
+    chain gave up (truncation or the runaway guard).
+    """
+
+    __slots__ = ("cursor", "pages", "ended_naturally", "storable")
+
+    def __init__(self, start: int):
+        self.cursor = start
+        self.pages = 0
+        self.ended_naturally = False
+        self.storable = True
 
 
 class _ShardOutcome:
@@ -1535,13 +1465,7 @@ def build_local_table(
     the virtual column types.
     """
     local_columns = tuple(
-        Column(
-            name=virtual_schema.column(name).name,
-            dtype=virtual_schema.column(name).dtype,
-            nullable=True,
-            description=virtual_schema.column(name).description,
-        )
-        for name in columns
+        replace(virtual_schema.column(name), nullable=True) for name in columns
     )
     schema = TableSchema(
         name=f"retrieved_{binding}",

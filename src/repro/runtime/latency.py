@@ -125,8 +125,3 @@ class LatencyLedger:
         with self._lock:
             committed = self._committed
         return committed + (branch.total if branch is not None else 0.0)
-
-    @property
-    def committed_ms(self) -> float:
-        with self._lock:
-            return self._committed

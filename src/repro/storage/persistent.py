@@ -96,6 +96,30 @@ CREATE TABLE IF NOT EXISTS generations (
 _READ_CHUNK = 500
 
 
+def _enable_wal(conn: sqlite3.Connection, deadline: float) -> None:
+    """Switch the file to WAL, waiting out a concurrent first open.
+
+    SQLite answers ``PRAGMA journal_mode=WAL`` with ``database is
+    locked`` at once — without consulting the busy timeout — while
+    another process is creating or converting the same file, so the
+    switch is retried until ``deadline`` (monotonic), and a file some
+    other process already switched is accepted as it is.
+    """
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError:
+            try:
+                if conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal":
+                    return
+            except sqlite3.OperationalError:
+                pass  # still locked: keep waiting
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 def encode_key(key: Hashable) -> str:
     """Canonical text form of a tier key.
 
@@ -169,7 +193,7 @@ class _StoreFile:
                 path, timeout=5.0, check_same_thread=False,
                 isolation_level=None,
             )
-            self.conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(self.conn, deadline=time.monotonic() + 5.0)
             self.conn.execute("PRAGMA synchronous=NORMAL")
             self.conn.execute("PRAGMA busy_timeout=5000")
             self.conn.executescript(_SCHEMA)

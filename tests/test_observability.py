@@ -246,6 +246,21 @@ class TestHistograms:
         )
         assert registry.histogram(obs_metrics.PAGES_PER_SCAN).count == 2
 
+    def test_sharded_scan_observes_pages_once(self, mini_world, perfect_model):
+        # One sharded scan is one scan: its chains' pages are summed
+        # into a single observation, not one per shard.
+        engine = traced_engine(
+            perfect_model, mini_world,
+            page_size=2, scan_shards=4, shard_min_rows=2,
+        )
+        result = engine.execute("SELECT name FROM countries")
+        assert "sharded-scan[countries]: 4 shard(s)" in result.explain_text
+        pages = engine.observability.registry.histogram(
+            obs_metrics.PAGES_PER_SCAN
+        )
+        assert pages.count == 1
+        assert pages.sum == engine.usage.pages_fetched > 4
+
     def test_storage_hit_counters(self, mini_world, perfect_model):
         engine = traced_engine(
             perfect_model, mini_world, storage_mode="materialize"

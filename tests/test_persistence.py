@@ -10,6 +10,7 @@ concurrent multi-process sharing of one store file, and graceful
 """
 
 import ast
+import multiprocessing
 import pickle
 import sqlite3
 import subprocess
@@ -518,6 +519,57 @@ def child_output(process):
     stdout, stderr = process.communicate(timeout=120)
     assert process.returncode == 0, stderr
     return ast.literal_eval(stdout.strip())
+
+
+def _open_after_barrier(path, barrier, results):
+    barrier.wait()
+    try:
+        results.put(SqliteBackend(path, budget_bytes=1000).failure_note)
+    except StorageBackendError as exc:
+        results.put(f"open failed: {exc}")
+
+
+def test_concurrent_first_open_of_one_fresh_file_keeps_persistence(tmp_path):
+    # Processes released together onto a file nobody has created yet:
+    # the WAL switch races the creator and must wait it out, not fall
+    # back to memory.
+    processes = 6
+    path = str(tmp_path / "fresh.db")
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(processes)
+    results = context.Queue()
+    workers = [
+        context.Process(target=_open_after_barrier, args=(path, barrier, results))
+        for _ in range(processes)
+    ]
+    for worker in workers:
+        worker.start()
+    notes = [results.get(timeout=60) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert notes == [None] * processes
+
+
+def test_wal_switch_waits_for_a_creator_mid_schema(tmp_path):
+    # The state a concurrent first open races into: another connection
+    # still holds the write lock on the rollback-journal file it is
+    # creating.  SQLite refuses the WAL switch at once (no busy
+    # timeout), so the open must retry until the creator commits.
+    path = str(tmp_path / "fresh.db")
+    creator = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    creator.execute("CREATE TABLE early (x)")
+    creator.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, creator.execute, args=("COMMIT",))
+    release.start()
+    try:
+        backend = SqliteBackend(path, budget_bytes=1000)
+    finally:
+        release.join()
+        creator.close()
+    assert backend.failure_note is None
+    backend.put(("k",), "v")
+    assert SqliteBackend(path, budget_bytes=1000).peek(("k",)) == "v"
 
 
 def test_concurrent_processes_share_one_store_byte_identically(tmp_path):

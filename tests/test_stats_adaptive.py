@@ -293,6 +293,20 @@ def test_replan_fires_and_annotates_explain():
     engine.close()
 
 
+def test_replan_under_materialize_probes_only_the_stream_fragment():
+    # Re-plan shards continue the closed stream's cursor and only the
+    # combined prefix is stored, so the stream's own probe is the one
+    # fragment hit-or-miss; shard fragments are never consulted.
+    engine = movies_engine(
+        adaptive=True, max_in_flight=8, storage_mode="materialize"
+    )
+    engine.execute(REPLAN_QUERY)
+    assert engine.stats_catalog.replan_shards > 1
+    snapshot = engine.storage.snapshot()
+    assert snapshot.fragment_hits + snapshot.fragment_misses == 1
+    engine.close()
+
+
 def test_adaptive_off_never_replans():
     engine = movies_engine(adaptive=False, max_in_flight=8)
     text = engine.explain(REPLAN_QUERY, analyze=True)
